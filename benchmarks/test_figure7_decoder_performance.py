@@ -12,7 +12,8 @@ interpreter shown as the portable-emulation bound of section 5.4.  Absolute
 ratios are far larger than the paper's (the VM is hosted on CPython, not on
 hardware-assisted x86 sandboxing); the *shape* being reproduced is the
 per-decoder ordering, the translator-vs-interpreter gap, and the inlining
-anecdote.  See EXPERIMENTS.md.
+anecdote.  ``BENCH_vm.json`` records the repeated VM/native measurements
+with their spread.
 """
 
 import pytest

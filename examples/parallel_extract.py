@@ -8,7 +8,7 @@ work.  This example shows the three ways to exploit that:
 1. ``Archive.extract_into(..., jobs=N)`` -- the facade shards members by
    decoder image across a worker pool (`repro.parallel.Scheduler`), so each
    worker translates a decoder once and reuses the warm code cache for all
-   of that decoder's members; output is byte-identical to the serial path;
+   of that decoder's members; output is byte-identical to a ``jobs=1`` run;
 2. ``Archive.check(jobs=N)`` -- the always-run-the-archived-decoder
    integrity check, sharded the same way, with identical verdicts;
 3. ``BatchService`` -- the engine behind the ``vxserve`` console script: a

@@ -30,8 +30,10 @@ import os
 
 from repro.api.archive import (
     Archive,
+    ExtractedFile,
     ExtractionRecord,
     ExtractionReport,
+    IntegrityReport,
     MemberFailure,
     MemberInfo,
     MemberPlan,
@@ -42,6 +44,9 @@ from repro.api.options import (
     EXECUTOR_AUTO,
     EXECUTOR_PROCESS,
     EXECUTOR_THREAD,
+    MODE_AUTO,
+    MODE_NATIVE,
+    MODE_VXA,
     ON_DAMAGE_REJECT,
     ON_DAMAGE_SALVAGE,
     ON_ERROR_ABORT,
@@ -52,13 +57,6 @@ from repro.api.options import (
 )
 from repro.faults import FaultPlan, FaultSpec
 from repro.api.session import DecoderSession, SessionStats
-from repro.core.archive_reader import (
-    ExtractedFile,
-    IntegrityReport,
-    MODE_AUTO,
-    MODE_NATIVE,
-    MODE_VXA,
-)
 from repro.core.policy import SecurityAttributes, VmReusePolicy
 
 __all__ = [
@@ -103,7 +101,7 @@ def open(source, options: ReadOptions | None = None) -> Archive:
 
     ``source`` may be a filesystem path (opened and owned by the returned
     :class:`Archive`), a seekable binary file object, or -- for convenience
-    and the deprecated shims -- in-memory ``bytes``.
+    -- in-memory ``bytes``.
     """
     if isinstance(source, (str, os.PathLike)):
         file = builtins.open(source, "rb")

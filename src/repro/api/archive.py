@@ -1,12 +1,13 @@
 """The streaming, session-oriented archive reading facade.
 
-:class:`Archive` replaces the whole-buffer ``ArchiveReader(archive: bytes)``
-API: it operates on a seekable file object (the central directory is parsed
-from the archive tail, member payloads are fetched by offset in bounded
-chunks), so a multi-gigabyte archive is never held in memory.  All
+:class:`Archive` operates on a seekable file object (the central directory
+is parsed from the archive tail, member payloads are fetched by offset in
+bounded chunks), so a multi-gigabyte archive is never held in memory.  All
 behavioural knobs live in one frozen :class:`~repro.api.options.ReadOptions`
 and decoder VM lifecycle is owned by a single
-:class:`~repro.api.session.DecoderSession` per archive.
+:class:`~repro.api.session.DecoderSession` per archive.  Extracting or
+checking a list of members is the :mod:`repro.parallel.engine`'s job; this
+module owns what happens to one member.
 """
 
 from __future__ import annotations
@@ -14,17 +15,10 @@ from __future__ import annotations
 import io
 import os
 import pathlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from repro.codecs.registry import default_registry
-from repro.core.archive_reader import (
-    ExtractedFile,
-    IntegrityReport,
-    MODE_AUTO,
-    MODE_NATIVE,
-    MODE_VXA,
-)
 from repro.core.extension import VxaExtension, parse_extension, parse_unix_extra
 from repro.core.fsutil import fsync_directory, fsync_file
 from repro.core.policy import SecurityAttributes, VmReusePolicy
@@ -34,8 +28,6 @@ from repro.errors import (
     GuestFault,
     IntegrityError,
     PathTraversalError,
-    VxaError,
-    WorkerCrashed,
 )
 from repro.vm.limits import ExecutionLimits
 from repro.zipformat.crc import crc32
@@ -43,12 +35,86 @@ from repro.zipformat.reader import ZipReader
 from repro.zipformat.structures import METHOD_STORE, METHOD_VXA, ZipEntry
 
 from repro.api.options import (
+    MODE_AUTO,
+    MODE_NATIVE,
+    MODES,
     ON_DAMAGE_SALVAGE,
-    ON_ERROR_ABORT,
     ON_ERROR_QUARANTINE,
     ReadOptions,
 )
 from repro.api.session import DecoderSession
+
+
+#: How one member is extracted (:meth:`Archive._route`).
+ROUTE_PLAIN = "plain"      # plain ZIP member: no VXA decoder involved
+ROUTE_STORED = "stored"    # pre-compressed member left in its stored form
+ROUTE_NATIVE = "native"    # decoded by the reader's own codec
+ROUTE_VXA = "vxa"          # decoded by the archived decoder in the VM
+
+
+@dataclass
+class ExtractedFile:
+    """Result of extracting one member."""
+
+    name: str
+    data: bytes
+    used_vxa_decoder: bool
+    codec_name: str | None
+    was_precompressed: bool
+    decoded: bool               # False when pre-compressed data was left as-is
+
+
+@dataclass
+class IntegrityReport:
+    """Outcome of an integrity check (:meth:`Archive.check`).
+
+    ``vm_initialisations`` / ``vm_reuses`` count how often the decoder
+    session loaded a pristine decoder image versus kept VM state across
+    files (paper section 2.4); they feed the VM-reuse ablation benchmark.
+    The code-cache counters summarise the translation engine's work over
+    the whole check: fragments translated, fragment-cache hits, chained
+    (back-patched) branch transitions and retranslations of already-seen
+    entry points.
+    """
+
+    #: Session counters carried verbatim (names match ``SessionStats``);
+    #: every producer/merger of reports goes through :meth:`counters` /
+    #: :meth:`add_counters` so a counter added here propagates everywhere.
+    COUNTER_FIELDS = ("vm_initialisations", "vm_reuses",
+                      "fragments_translated", "cache_hits",
+                      "chained_branches", "retranslations", "evictions",
+                      "guards_elided", "images_verified",
+                      "members_salvaged", "directory_reconstructed",
+                      "commit_record_verified")
+
+    checked: int = 0
+    passed: int = 0
+    failures: list[str] = field(default_factory=list)
+    vm_initialisations: int = 0
+    vm_reuses: int = 0
+    fragments_translated: int = 0
+    cache_hits: int = 0
+    chained_branches: int = 0
+    retranslations: int = 0
+    evictions: int = 0
+    guards_elided: int = 0
+    images_verified: int = 0
+    members_salvaged: int = 0
+    directory_reconstructed: int = 0
+    commit_record_verified: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures and self.checked == self.passed
+
+    def counters(self) -> dict:
+        """The session counters as a plain dict."""
+        return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
+
+    def add_counters(self, source) -> None:
+        """Accumulate the counters of a report or :class:`SessionStats`."""
+        for name in self.COUNTER_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(source, name))
 
 
 @dataclass(frozen=True)
@@ -90,7 +156,7 @@ class MemberFailure:
             has one (identifies *which* decoder image misbehaved).
         instructions: guest fuel consumed when the failure fired, when the
             engine recorded it on the exception.
-        worker: shard worker id that hit the failure (``None`` = serial).
+        worker: shard worker id that hit the failure (``None`` = inline).
         attempts: processing attempts made, counting crash retries.
         quarantined: the member was put beyond use by the ``quarantine``
             policy (every recorded failure under it, including members that
@@ -117,14 +183,6 @@ class MemberFailure:
             "attempts": self.attempts,
             "quarantined": self.quarantined,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MemberFailure":
-        return cls(**{key: data.get(key) for key in
-                      ("name", "error_type", "message", "offset",
-                       "instructions", "worker")},
-                   attempts=data.get("attempts", 1),
-                   quarantined=bool(data.get("quarantined", False)))
 
 
 class ExtractionReport(list):
@@ -208,13 +266,6 @@ class _MemberStream(io.RawIOBase):
         return f"<vxa member stream {self._name!r}>"
 
 
-def _in_pool_worker() -> bool:
-    """Is this code running inside a parallel pool worker (thread/process)?"""
-    from repro.parallel.worker import in_worker
-
-    return in_worker()
-
-
 def safe_extract_path(directory: pathlib.Path, member_name: str) -> pathlib.Path:
     """Resolve ``member_name`` inside ``directory``, refusing zip-slip escapes.
 
@@ -260,8 +311,8 @@ class Archive:
         # Under on_damage="salvage" a torn or corrupt container is opened
         # anyway: the member directory is reconstructed from local headers
         # and damaged members surface per-member instead of at open.
-        self._salvaging = self.options.on_damage == ON_DAMAGE_SALVAGE
-        self._zip = ZipReader(file, salvage=self._salvaging)
+        self._zip = ZipReader(
+            file, salvage=self.options.on_damage == ON_DAMAGE_SALVAGE)
         self._registry = self.options.registry or default_registry()
         self._limits = self.options.limits or ExecutionLimits()
         if self.options.member_deadline is not None:
@@ -270,17 +321,7 @@ class Archive:
                     else min(wall, self.options.member_deadline))
             self._limits = replace(self._limits, max_wall_seconds=wall)
         self._decoder_cache: dict[int, bytes] = {}
-        self._session = DecoderSession(
-            self._load_decoder,
-            policy=self.options.reuse,
-            engine=self.options.engine,
-            limits=self._limits,
-            superblock_limit=self.options.superblock_limit,
-            chain_fragments=self.options.chain_fragments,
-            code_cache_limit=self.options.code_cache_limit,
-            verify_images=self.options.verify_images,
-            analysis_elision=self.options.analysis_elision,
-        )
+        self._session = self._new_session(self.options.reuse)
         if self._zip.directory_reconstructed:
             self._session.stats.directory_reconstructed += 1
         if self._zip.commit_verified:
@@ -351,8 +392,7 @@ class Archive:
     # -- extraction -----------------------------------------------------------
 
     def extract(self, name: str, *, mode: str | None = None,
-                force_decode: bool | None = None,
-                _fresh_vm: bool | None = None) -> ExtractedFile:
+                force_decode: bool | None = None) -> ExtractedFile:
         """Extract one member fully into memory.
 
         Pre-compressed members (the redec path) are returned in their stored,
@@ -360,7 +400,7 @@ class Archive:
         vxUnZIP's default of leaving popular formats compressed on extraction.
         """
         entry = self._zip.find(name)
-        chunks, meta = self._member_pipeline(entry, mode, force_decode, _fresh_vm)
+        chunks, meta = self._member_pipeline(entry, mode, force_decode)
         data = b"".join(chunks)
         used_vxa, decoded, codec_name, precompressed = meta
         return ExtractedFile(name, data, used_vxa, codec_name, precompressed,
@@ -383,7 +423,7 @@ class Archive:
         decoded through the session first, then served chunk-wise.
         """
         entry = self._zip.find(name)
-        chunks, _ = self._member_pipeline(entry, mode, force_decode, None)
+        chunks, _ = self._member_pipeline(entry, mode, force_decode)
         return _MemberStream(chunks, name)
 
     def extract_to(self, name: str, writable, *, mode: str | None = None,
@@ -393,7 +433,7 @@ class Archive:
         Returns the number of bytes written.
         """
         entry = self._zip.find(name)
-        chunks, _ = self._member_pipeline(entry, mode, force_decode, None)
+        chunks, _ = self._member_pipeline(entry, mode, force_decode)
         written = 0
         for chunk in chunks:
             writable.write(chunk)
@@ -410,92 +450,68 @@ class Archive:
         anything touches the filesystem; a single escaping name aborts the
         whole extraction with :class:`~repro.errors.PathTraversalError`.
 
-        ``jobs`` (default: ``ReadOptions.jobs``) > 1 shards the members by
-        decoder image across the :mod:`repro.parallel` worker pool; output
-        bytes are identical to the serial path (each worker runs this very
-        method over its shard) and the workers' session counters are merged
+        The :mod:`repro.parallel.engine` does the work.  With ``jobs``
+        (default: ``ReadOptions.jobs``) of 1, or when the scheduler plans a
+        single shard, it runs the members on this archive in the order
+        given.  Otherwise it shards them by decoder image across a worker
+        pool; output bytes are identical (every worker runs the same member
+        loop over its shard) and the workers' session counters are merged
         into this archive's :attr:`session` stats.
 
         Returns an :class:`ExtractionReport` -- a list of the successful
         :class:`ExtractionRecord` entries.  Under ``on_error="abort"``
-        (default) the first member failure raises, exactly as before.
-        Under ``"skip"``/``"quarantine"`` a failing member is recorded in
+        (default) the first member failure raises.  Under
+        ``"skip"``/``"quarantine"`` a failing member is recorded in
         ``report.failures`` and every other member still extracts,
         byte-identical to a clean run (each member streams through its own
         temp-and-rename, so a contained failure leaves no partial file).
         """
-        directory = pathlib.Path(directory)
-        wanted = names if names is not None else self.names()
-        directory.mkdir(parents=True, exist_ok=True)
-        targets = [(name, safe_extract_path(directory, name)) for name in wanted]
-        jobs = self.options.jobs if jobs is None else jobs
-        if jobs > 1 and len(wanted) > 1:
-            from repro.parallel.engine import parallel_extract_into
+        from repro.parallel.engine import parallel_extract_into
 
-            return parallel_extract_into(
-                self, directory, wanted, jobs,
-                mode=mode, force_decode=force_decode)
-        on_error = self.options.on_error
+        self._read_mode(mode, force_decode)
+        return parallel_extract_into(self, directory, names, jobs, mode=mode,
+                                     force_decode=force_decode)
+
+    def _extract_member(self, entry: ZipEntry, target: pathlib.Path,
+                        mode: str | None,
+                        force_decode: bool | None) -> ExtractionRecord:
+        """Extract one member to ``target`` (already zip-slip validated)."""
+        chunks, meta = self._member_pipeline(entry, mode, force_decode)
+        used_vxa, decoded, codec_name, _ = meta
         durable = self.options.durable_output
-        report = ExtractionReport()
-        for name, target in targets:
-            entry = self._zip.find(name)
-            try:
-                chunks, meta = self._member_pipeline(entry, mode, force_decode,
-                                                     None)
-                used_vxa, decoded, codec_name, _ = meta
-                target.parent.mkdir(parents=True, exist_ok=True)
-                # Stream into a temporary sibling and rename on success, so
-                # an error mid-member (CRC mismatch, truncation, decoder
-                # fault) never leaves a partial file under the final name.
-                # ``durable_output`` additionally fsyncs the data before the
-                # rename (and the directory after), so a machine crash right
-                # after extraction cannot leave a renamed-but-empty file.
-                partial = target.with_name(target.name + ".vxa-partial")
-                written = 0
-                try:
-                    with open(partial, "wb") as sink:
-                        for chunk in chunks:
-                            sink.write(chunk)
-                            written += len(chunk)
-                        if durable:
-                            fsync_file(sink)
-                except BaseException:
-                    partial.unlink(missing_ok=True)
-                    raise
-                partial.replace(target)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        # Stream into a temporary sibling and rename on success, so an error
+        # mid-member (CRC mismatch, truncation, decoder fault) never leaves a
+        # partial file under the final name.  ``durable_output`` additionally
+        # fsyncs the data before the rename (and the directory after), so a
+        # machine crash right after extraction cannot leave a
+        # renamed-but-empty file.
+        partial = target.with_name(target.name + ".vxa-partial")
+        written = 0
+        try:
+            with open(partial, "wb") as sink:
+                for chunk in chunks:
+                    sink.write(chunk)
+                    written += len(chunk)
                 if durable:
-                    fsync_directory(target.parent)
-            except VxaError as error:
-                if isinstance(error, WorkerCrashed) and _in_pool_worker():
-                    # An injected worker kill must *crash the worker*, not
-                    # be contained here -- the pool's crash recovery is the
-                    # layer under test.  (A real process kill never reaches
-                    # this handler at all.)
-                    raise
-                if on_error == ON_ERROR_ABORT and not self._salvaging:
-                    # Under on_damage="salvage" media damage is contained
-                    # per-member even for abort callers: salvaging exists
-                    # precisely to get the healthy members out.
-                    raise
-                report.failures.append(self._member_failure(entry, error))
-                continue
-            report.append(ExtractionRecord(
-                name=name,
-                path=target,
-                size=written,
-                used_vxa_decoder=used_vxa,
-                decoded=decoded,
-                codec_name=codec_name,
-            ))
-        if self._salvaging and (self._zip.directory_reconstructed
-                                or report.failures):
-            # Members extracted out of damaged media: the load-bearing
-            # success metric of the salvage path.
-            self._session.stats.members_salvaged += len(report)
-        return report
+                    fsync_file(sink)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
+        partial.replace(target)
+        if durable:
+            fsync_directory(target.parent)
+        return ExtractionRecord(
+            name=entry.name,
+            path=target,
+            size=written,
+            used_vxa_decoder=used_vxa,
+            decoded=decoded,
+            codec_name=codec_name,
+        )
 
-    def _member_failure(self, entry: ZipEntry, error: Exception) -> MemberFailure:
+    def _member_failure(self, entry: ZipEntry, error: Exception,
+                        worker: int | None) -> MemberFailure:
         """Record one contained member failure (salvage bookkeeping)."""
         try:
             extension = parse_extension(entry.extra)
@@ -508,6 +524,7 @@ class Archive:
             message=str(error),
             offset=extension.decoder_offset if extension is not None else None,
             instructions=getattr(error, "instructions", None),
+            worker=worker,
             quarantined=self.options.on_error == ON_ERROR_QUARANTINE,
         )
 
@@ -547,46 +564,27 @@ class Archive:
         :class:`SecurityAttributes` gate VM reuse exactly as section 2.4
         prescribes; the report carries the session's reuse/re-init counters.
 
-        ``jobs`` (default: ``ReadOptions.jobs``) > 1 shards the decoder-bearing
-        members by decoder image across the :mod:`repro.parallel` worker pool;
-        verdicts (checked/passed/failures) are identical to the serial check
-        and the report's counters aggregate every worker's session.  ``names``
-        restricts the check to those members, in that order (a name missing
-        from the archive raises, exactly as extraction would); the shard
-        workers use it to check their slice.
+        As with :meth:`extract_into`, the :mod:`repro.parallel.engine` runs
+        one shard inline and shards the decoder-bearing members by decoder
+        image across a worker pool when ``jobs`` (default:
+        ``ReadOptions.jobs``) and the plan allow; verdicts
+        (checked/passed/failures) do not depend on it and the report's
+        counters aggregate every session.  ``names`` restricts the check to
+        those members, in that order (a name missing from the archive
+        raises, exactly as extraction would).
         """
-        jobs = self.options.jobs if jobs is None else jobs
-        if jobs > 1:
-            from repro.parallel.engine import parallel_check
+        from repro.parallel.engine import parallel_check
 
-            return parallel_check(self, jobs, reuse=reuse, names=names)
-        session = DecoderSession(
-            self._load_decoder,
-            policy=reuse if reuse is not None else self.options.reuse,
-            engine=self.options.engine,
-            limits=self._limits,
-            superblock_limit=self.options.superblock_limit,
-            chain_fragments=self.options.chain_fragments,
-            code_cache_limit=self.options.code_cache_limit,
-            verify_images=self.options.verify_images,
-            analysis_elision=self.options.analysis_elision,
-        )
-        entries = (self._zip.entries if names is None
-                   else [self._zip.find(name) for name in names])
-        report = IntegrityReport()
-        for entry in entries:
-            self._check_entry(session, entry, report)
-        report.add_counters(session.stats)
-        session.close()
-        return report
+        return parallel_check(self, jobs, reuse=reuse, names=names)
 
-    def _check_entry(self, session: DecoderSession, entry: ZipEntry,
-                     report: IntegrityReport) -> None:
-        """Run the always-use-the-archived-decoder check for one member."""
+    def _check_member(self, session: DecoderSession,
+                      entry: ZipEntry) -> str | None:
+        """Run the archived decoder over one member, whatever the mode.
+
+        Returns the failure message, or ``None`` when the output matches
+        the member's recorded size and CRC.
+        """
         extension = parse_extension(entry.extra)
-        if extension is None:
-            return
-        report.checked += 1
         try:
             plan = self.options.fault_plan
             if plan is not None:
@@ -595,22 +593,11 @@ class Archive:
             encoded = self._encoded_bytes(entry, extension)
             data = self._run_archived_decoder(session, entry, extension, encoded)
         except (GuestFault, ArchiveError) as error:
-            report.failures.append(f"{entry.name}: {error}")
-            return
-        except WorkerCrashed:
-            # A simulated worker kill: in a pool worker the shard must
-            # crash so recovery reschedules it; serially it is one more
-            # contained member failure.
-            if _in_pool_worker():
-                raise
-            report.failures.append(f"{entry.name}: worker crashed")
-            return
+            return f"{entry.name}: {error}"
         if (len(data) != extension.original_size
                 or crc32(data) != extension.original_crc32):
-            report.failures.append(
-                f"{entry.name}: decoded output does not match its checksum")
-            return
-        report.passed += 1
+            return f"{entry.name}: decoded output does not match its checksum"
+        return None
 
     # -- parallel scheduling support ------------------------------------------
 
@@ -619,33 +606,21 @@ class Archive:
                         force_decode: bool | None = None) -> list[MemberPlan]:
         """Scheduling facts for each requested member under the effective mode.
 
-        Mirrors :meth:`_member_pipeline`'s dispatch decisions without reading
-        any member data, so the :mod:`repro.parallel` scheduler can shard
-        members by decoder image before any work starts.
+        Routes each member exactly as extraction will (:meth:`_route`)
+        without reading any member data, so the :mod:`repro.parallel`
+        scheduler can shard members by decoder image before any work starts.
         """
-        mode = self.options.mode if mode is None else mode
-        if mode not in (MODE_AUTO, MODE_NATIVE, MODE_VXA):
-            raise ArchiveError(f"unknown extraction mode {mode!r}")
-        force = self.options.force_decode if force_decode is None else force_decode
         wanted = names if names is not None else self.names()
         plan: list[MemberPlan] = []
         for index, name in enumerate(wanted):
             entry = self._zip.find(name)
-            extension = parse_extension(entry.extra)
-            decoder_offset: int | None = None
-            if extension is not None:
-                stored_skip = (entry.method == METHOD_STORE
-                               and extension.precompressed and not force)
-                native = (extension.codec_name is not None
-                          and extension.codec_name in self._registry)
-                if not stored_skip and mode != MODE_NATIVE:
-                    if mode == MODE_VXA or not native:
-                        decoder_offset = extension.decoder_offset
+            route, extension = self._route(entry, mode, force_decode)
             attributes = self._attributes_for(entry)
             plan.append(MemberPlan(
                 index=index,
                 name=name,
-                decoder_offset=decoder_offset,
+                decoder_offset=(extension.decoder_offset
+                                if route == ROUTE_VXA else None),
                 cost=max(entry.compressed_size, 1),
                 domain=(attributes.owner, attributes.group,
                         attributes.world_readable),
@@ -662,7 +637,7 @@ class Archive:
         while it still names the very file this reader holds open (after
         an atomic-rename update the handle and the path are different
         archives, and workers reopening by name would diverge from the
-        serial path); otherwise the bytes are shipped.
+        inline shard); otherwise the bytes are shipped.
         """
         for candidate in (self._source_path, getattr(self._file, "name", None)):
             if candidate is not None and isinstance(candidate, (str, pathlib.Path)):
@@ -698,6 +673,20 @@ class Archive:
 
     # -- internals ------------------------------------------------------------
 
+    def _new_session(self, policy: VmReusePolicy) -> DecoderSession:
+        """A decoder session configured by this archive's options."""
+        return DecoderSession(
+            self._load_decoder,
+            policy=policy,
+            engine=self.options.engine,
+            limits=self._limits,
+            superblock_limit=self.options.superblock_limit,
+            chain_fragments=self.options.chain_fragments,
+            code_cache_limit=self.options.code_cache_limit,
+            verify_images=self.options.verify_images,
+            analysis_elision=self.options.analysis_elision,
+        )
+
     def _attributes_for(self, entry: ZipEntry) -> SecurityAttributes:
         """Per-file security attributes recovered from the member headers.
 
@@ -732,8 +721,7 @@ class Archive:
         return encoded
 
     def _run_archived_decoder(self, session: DecoderSession, entry: ZipEntry,
-                              extension: VxaExtension, encoded: bytes,
-                              fresh_override: bool | None = None) -> bytes:
+                              extension: VxaExtension, encoded: bytes) -> bytes:
         limits = None
         fault_syscall = None
         plan = self.options.fault_plan
@@ -747,7 +735,6 @@ class Archive:
             encoded,
             attributes=self._attributes_for(entry),
             limits=limits,
-            fresh_override=fresh_override,
             fault_syscall=fault_syscall,
         )
         if result.exit_code != 0:
@@ -757,9 +744,35 @@ class Archive:
             )
         return result.output
 
+    def _read_mode(self, mode: str | None,
+                   force_decode: bool | None) -> tuple[str, bool]:
+        """The effective ``(mode, force_decode)`` of a call; refuses bad modes."""
+        mode = self.options.mode if mode is None else mode
+        if mode not in MODES:
+            raise ArchiveError(f"unknown extraction mode {mode!r}")
+        force = self.options.force_decode if force_decode is None else force_decode
+        return mode, force
+
+    def _route(self, entry: ZipEntry, mode: str | None,
+               force_decode: bool | None) -> tuple[str, VxaExtension | None]:
+        """Decide how one member is extracted: ``(ROUTE_*, extension)``.
+
+        The one place that routing is decided; extraction follows it and
+        :meth:`extraction_plan` reports it to the scheduler.
+        """
+        mode, force = self._read_mode(mode, force_decode)
+        extension = parse_extension(entry.extra)
+        if extension is None:
+            return ROUTE_PLAIN, None
+        if entry.method == METHOD_STORE and extension.precompressed and not force:
+            return ROUTE_STORED, extension
+        native = bool(extension.codec_name) and extension.codec_name in self._registry
+        if mode == MODE_NATIVE or (mode == MODE_AUTO and native):
+            return ROUTE_NATIVE, extension
+        return ROUTE_VXA, extension
+
     def _member_pipeline(self, entry: ZipEntry, mode: str | None,
-                         force_decode: bool | None,
-                         fresh_override: bool | None):
+                         force_decode: bool | None):
         """Plan the chunk stream for one member.
 
         Returns ``(chunks, (used_vxa, decoded, codec_name, precompressed))``.
@@ -767,10 +780,7 @@ class Archive:
         output is produced in full (it is one member, never the archive) and
         then chunked.
         """
-        mode = self.options.mode if mode is None else mode
-        if mode not in (MODE_AUTO, MODE_NATIVE, MODE_VXA):
-            raise ArchiveError(f"unknown extraction mode {mode!r}")
-        force = self.options.force_decode if force_decode is None else force_decode
+        route, extension = self._route(entry, mode, force_decode)
         chunk_size = self.options.chunk_size
         plan = self.options.fault_plan
         if plan is not None:
@@ -778,51 +788,41 @@ class Archive:
             # and worker kill (process workers exit hard here).
             plan.io_delay(entry.name)
             plan.kill_worker(entry.name)
-        extension = parse_extension(entry.extra)
 
-        if extension is None:
-            # Plain ZIP member: no VXA decoder involved.
+        if route == ROUTE_PLAIN:
             chunks = self._zip.iter_member_chunks(entry, chunk_size=chunk_size)
             return chunks, (False, True, None, False)
 
-        if entry.method == METHOD_STORE and extension.precompressed and not force:
+        if route == ROUTE_STORED:
             # iter_member_chunks on a stored member streams the same bytes as
             # iter_stored_chunks but verifies the member CRC as it goes.
             chunks = self._zip.iter_member_chunks(entry, chunk_size=chunk_size)
             return chunks, (False, False, extension.codec_name, True)
 
-        data, used_vxa = self._decode_member(entry, extension, mode, fresh_override)
+        data = self._decode_member(entry, extension, route)
         chunks = (data[offset:offset + chunk_size]
                   for offset in range(0, len(data), chunk_size))
         if not data:
             chunks = iter(())
-        return chunks, (used_vxa, True, extension.codec_name,
+        return chunks, (route == ROUTE_VXA, True, extension.codec_name,
                         extension.precompressed)
 
     def _decode_member(self, entry: ZipEntry, extension: VxaExtension,
-                       mode: str, fresh_override: bool | None) -> tuple[bytes, bool]:
+                       route: str) -> bytes:
         encoded = self._encoded_bytes(entry, extension)
-        codec = None
-        if extension.codec_name and extension.codec_name in self._registry:
-            codec = self._registry.get(extension.codec_name)
-        if mode == MODE_NATIVE:
-            if codec is None:
-                raise DecoderMissingError(
-                    f"no native decoder available for codec {extension.codec_name!r}"
-                )
-            data, used_vxa = codec.decode(encoded), False
-        elif mode == MODE_AUTO and codec is not None:
-            data, used_vxa = codec.decode(encoded), False
+        if route == ROUTE_VXA:
+            data = self._run_archived_decoder(self._session, entry, extension,
+                                              encoded)
+        elif extension.codec_name and extension.codec_name in self._registry:
+            data = self._registry.get(extension.codec_name).decode(encoded)
         else:
-            # MODE_VXA, or AUTO with no native decoder: run the archived decoder.
-            data = self._run_archived_decoder(
-                self._session, entry, extension, encoded,
-                fresh_override=fresh_override)
-            used_vxa = True
+            raise DecoderMissingError(
+                f"no native decoder available for codec {extension.codec_name!r}"
+            )
         if (len(data) != extension.original_size
                 or crc32(data) != extension.original_crc32):
             raise IntegrityError(
                 f"member {entry.name!r} decoded to unexpected contents "
                 f"({len(data)} bytes vs {extension.original_size} expected)"
             )
-        return data, used_vxa
+        return data

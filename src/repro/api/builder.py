@@ -1,12 +1,11 @@
 """The streaming archive-building facade (vxZIP's writing side).
 
-:class:`ArchiveBuilder` replaces ``ArchiveWriter().finish() -> bytes``: it
-writes members straight through to a caller-supplied (or path-opened)
-binary sink as they are added, so building a multi-gigabyte archive never
-accumulates the whole output in memory.  Codec selection keeps the paper's
-behaviour: recognise already-compressed input and store it untouched with a
-decoder attached (the redec path), otherwise encode with a fitting codec
-and tag the member with the reserved VXA method.
+:class:`ArchiveBuilder` writes members straight through to a caller-supplied
+(or path-opened) binary sink as they are added, so building a
+multi-gigabyte archive never accumulates the whole output in memory.  Codec
+selection keeps the paper's behaviour: recognise already-compressed input
+and store it untouched with a decoder attached (the redec path), otherwise
+encode with a fitting codec and tag the member with the reserved VXA method.
 """
 
 from __future__ import annotations
@@ -14,10 +13,10 @@ from __future__ import annotations
 import contextlib
 import os
 import pathlib
+from dataclasses import dataclass, field
 
 from repro.codecs.base import Codec
 from repro.codecs.registry import default_registry
-from repro.core.archive_writer import ArchivedFileInfo, ArchiveManifest
 from repro.core.decoder_store import DecoderStore, StoredDecoder
 from repro.core.extension import VxaExtension, pack_unix_extra
 from repro.core.fsutil import fsync_directory, fsync_file
@@ -34,6 +33,43 @@ from repro.api.options import (
     FINALIZE_FAULT_PRE_RENAME,
     WriteOptions,
 )
+
+
+@dataclass
+class ArchivedFileInfo:
+    """What the builder did with one input file (returned for reporting)."""
+
+    name: str
+    codec: str | None
+    stored_size: int
+    original_size: int
+    precompressed: bool
+    method: int
+
+    @property
+    def ratio(self) -> float:
+        if self.original_size == 0:
+            return 1.0
+        return self.stored_size / self.original_size
+
+
+@dataclass
+class ArchiveManifest:
+    """Summary of a finished archive."""
+
+    files: list[ArchivedFileInfo] = field(default_factory=list)
+    decoders: list[StoredDecoder] = field(default_factory=list)
+    archive_size: int = 0
+
+    @property
+    def decoder_overhead_bytes(self) -> int:
+        return sum(decoder.compressed_size for decoder in self.decoders)
+
+    @property
+    def decoder_overhead_fraction(self) -> float:
+        if self.archive_size == 0:
+            return 0.0
+        return self.decoder_overhead_bytes / self.archive_size
 
 
 class ArchiveBuilder:

@@ -1,9 +1,8 @@
 """Frozen configuration objects for the :mod:`repro.api` facade.
 
-All the knobs that used to ride along as per-call keyword arguments on
-``ArchiveReader`` / ``ArchiveWriter`` (``mode``, ``engine``, ``vm_limits``,
-``fresh_vm``, ``reuse_policy``, ``allow_lossy``, ...) are consolidated here
-into two immutable dataclasses, fixed for the lifetime of an
+Every reading and writing knob (``mode``, ``engine``, ``limits``,
+``reuse``, ``allow_lossy``, ...) lives in one of two immutable
+dataclasses, fixed for the lifetime of an
 :class:`~repro.api.archive.Archive` or
 :class:`~repro.api.builder.ArchiveBuilder` session.  A scheduler can hand a
 session to a worker knowing its behaviour cannot drift mid-batch.
@@ -14,13 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.codecs.registry import CodecRegistry
-from repro.core.archive_reader import MODE_AUTO, MODE_NATIVE, MODE_VXA
 from repro.core.policy import VmReusePolicy
 from repro.faults import FaultPlan
 from repro.vm.limits import ExecutionLimits
 from repro.vm.machine import ENGINE_INTERPRETER, ENGINE_TRANSLATOR
 
-_MODES = (MODE_AUTO, MODE_NATIVE, MODE_VXA)
+#: Extraction modes (``ReadOptions.mode``).
+MODE_AUTO = "auto"        # native decoder when available, archived decoder otherwise
+MODE_NATIVE = "native"    # native decoders only (fails for unknown codecs)
+MODE_VXA = "vxa"          # always run the archived decoder in the VM
+MODES = (MODE_AUTO, MODE_NATIVE, MODE_VXA)
 _ENGINES = (ENGINE_TRANSLATOR, ENGINE_INTERPRETER)
 
 #: Executor kinds for parallel extraction (``ReadOptions.executor``).
@@ -72,7 +74,7 @@ class ReadOptions:
             translated fragments so the dispatcher's hash lookup is only
             paid on indirect branches (disable only for ablations).
         jobs: default worker count for :meth:`Archive.extract_into` and
-            :meth:`Archive.check` (``1`` keeps the serial path; ``N > 1``
+            :meth:`Archive.check` (``1`` runs the members inline; ``N > 1``
             shards members by decoder image across the
             :mod:`repro.parallel` engine).
         executor: worker pool flavour for ``jobs > 1`` -- ``"process"``
@@ -149,7 +151,7 @@ class ReadOptions:
     durable_output: bool = True
 
     def __post_init__(self):
-        if self.mode not in _MODES:
+        if self.mode not in MODES:
             raise ValueError(f"unknown extraction mode {self.mode!r}")
         if self.engine not in _ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")

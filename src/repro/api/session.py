@@ -4,8 +4,7 @@ Paper section 2.4: reusing VM state across files that share a decoder
 "may improve performance, especially on archives containing many small
 files", at the cost of potential cross-file information leakage; the
 recommended mitigation is to re-initialise whenever the security attributes
-of the files being processed change.  The old core scattered this decision
-across ad-hoc ``fresh_vm`` flags; :class:`DecoderSession` is now the single
+of the files being processed change.  :class:`DecoderSession` is the single
 place that owns decoder VMs, applies the :class:`~repro.core.policy.VmReusePolicy`
 against each file's :class:`~repro.core.policy.SecurityAttributes`, and
 counts how often state was reused versus re-initialised (the ablation
@@ -40,7 +39,7 @@ class SessionStats:
     The code-cache counters aggregate the per-run
     :class:`~repro.vm.limits.ExecutionStats` of every decode performed
     through this session; ``vxunzip --stats`` and
-    :class:`~repro.core.archive_reader.IntegrityReport` surface them.
+    :class:`~repro.api.archive.IntegrityReport` surface them.
     """
 
     decodes: int = 0
@@ -64,13 +63,8 @@ class SessionStats:
                     getattr(self, field.name) + getattr(other, field.name))
 
     def as_dict(self) -> dict:
-        """Counters as a plain dict (JSON transport across worker processes)."""
+        """Counters as a plain dict (``--stats`` and vxserve responses)."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SessionStats":
-        names = {field.name for field in fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in names})
 
 
 class DecoderSession:
@@ -160,17 +154,15 @@ class DecoderSession:
         *,
         attributes: SecurityAttributes | None = None,
         limits: ExecutionLimits | None = None,
-        fresh_override: bool | None = None,
         fault_syscall: int | None = None,
     ) -> DecodeResult:
         """Run the archived decoder at ``decoder_offset`` over ``encoded``.
 
         ``attributes`` are the security attributes of the file being decoded;
         under ``REUSE_SAME_ATTRIBUTES`` a change of protection domain forces
-        re-initialisation.  ``fresh_override`` bypasses the policy for legacy
-        callers (the deprecated ``fresh_vm`` flag) and should not be used by
-        new code.  ``fault_syscall`` is the fault-injection hook: fail the
-        run at the guest's Nth virtual system call (``None`` in production).
+        re-initialisation.  ``fault_syscall`` is the fault-injection hook:
+        fail the run at the guest's Nth virtual system call (``None`` in
+        production).
         """
         attributes = attributes or SecurityAttributes()
         vm = self._vms.get(decoder_offset)
@@ -192,10 +184,6 @@ class DecoderSession:
             # never needs another reset regardless of policy.
             fresh = False
             self.stats.vm_initialisations += 1
-        elif fresh_override is not None:
-            fresh = fresh_override
-            self.stats.vm_initialisations += 1 if fresh else 0
-            self.stats.vm_reuses += 0 if fresh else 1
         else:
             fresh = self._needs_fresh(decoder_offset, attributes)
             if fresh:

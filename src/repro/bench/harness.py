@@ -23,7 +23,7 @@ from repro.workloads.text import synthetic_source_tree_bytes
 
 #: Workload sizes used by the figure benchmarks.  These are deliberately
 #: small: the guest decoders run on a Python-hosted VM, so one decode is
-#: seconds, not milliseconds (see EXPERIMENTS.md for the scaling discussion).
+#: seconds, not milliseconds (``BENCH_vm.json`` records the VM/native ratios).
 TEXT_WORKLOAD_BYTES = 12 * 1024
 IMAGE_WORKLOAD_SIZE = (56, 48)          # width, height
 AUDIO_WORKLOAD_SECONDS = 0.25

@@ -7,7 +7,11 @@ and these Python implementations interoperate byte-for-byte.
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import CodecError
+
+_NOT_ALL_ONES = re.compile(b"[^\\xff]")
 
 
 class BitWriter:
@@ -33,6 +37,23 @@ class BitWriter:
             raise CodecError("bit writes must be non-negative")
         for position in range(count):
             self.write_bit((value >> position) & 1)
+
+    def write_unary(self, count: int) -> None:
+        """Write ``count`` one bits and a terminating zero bit.
+
+        Whole bytes of ones are appended directly, so long runs cost
+        ``count / 8`` operations rather than ``count``.
+        """
+        while count and self._bit_position:
+            self.write_bit(1)
+            count -= 1
+        if count >= 8:
+            self._buffer.extend(b"\xff" * (count >> 3))
+            count &= 7
+        if count:
+            self._current = (1 << count) - 1
+            self._bit_position = count
+        self.write_bit(0)
 
     def write_code(self, code: int, length: int) -> None:
         """Write a Huffman code: most significant bit of the code first.
@@ -78,6 +99,39 @@ class BitReader:
             self._byte_position += 1
         return bit
 
+    def read_unary(self, limit: int) -> int:
+        """Count one bits up to a zero bit, and consume that zero bit.
+
+        Stops and returns ``limit + 1`` once the run is longer than
+        ``limit``, so a corrupt stream cannot run on. Whole bytes of ones are
+        skipped with one scan, not bit by bit.
+        """
+        data = self._data
+        count = 0
+        while True:
+            if self._byte_position >= len(data):
+                raise CodecError("bit stream exhausted")
+            # Zero bits among the unread bits of the current byte.
+            zeros = ~(data[self._byte_position] >> self._bit_position) & (0xFF >> self._bit_position)
+            if zeros:
+                ones = (zeros & -zeros).bit_length() - 1
+                count += ones
+                if count > limit:
+                    return limit + 1
+                self._bit_position += ones + 1
+                if self._bit_position == 8:
+                    self._bit_position = 0
+                    self._byte_position += 1
+                return count
+            count += 8 - self._bit_position
+            self._bit_position = 0
+            start = self._byte_position + 1
+            match = _NOT_ALL_ONES.search(data, start)
+            self._byte_position = match.start() if match else len(data)
+            count += 8 * (self._byte_position - start)
+            if count > limit:
+                return limit + 1
+
     def read_bits(self, count: int) -> int:
         value = 0
         for position in range(count):
@@ -98,10 +152,6 @@ class BitReader:
         chunk = self._data[self._byte_position : end]
         self._byte_position = end
         return chunk
-
-    @property
-    def bits_remaining(self) -> int:
-        return (len(self._data) - self._byte_position) * 8 - self._bit_position
 
     @property
     def byte_position(self) -> int:

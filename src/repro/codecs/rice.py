@@ -54,9 +54,7 @@ def encode_residuals(writer: BitWriter, residuals: list[int], parameter: int) ->
         quotient = mapped >> parameter
         if quotient > _MAX_QUOTIENT:
             raise CodecError("residual too large for Rice coding")
-        for _ in range(quotient):
-            writer.write_bit(1)
-        writer.write_bit(0)
+        writer.write_unary(quotient)
         writer.write_bits(mapped & ((1 << parameter) - 1), parameter)
 
 
@@ -66,11 +64,9 @@ def decode_residuals(reader: BitReader, count: int, parameter: int) -> list[int]
         raise CodecError(f"rice parameter out of range: {parameter}")
     residuals = []
     for _ in range(count):
-        quotient = 0
-        while reader.read_bit():
-            quotient += 1
-            if quotient > _MAX_QUOTIENT:
-                raise CodecError("corrupt Rice stream (runaway unary code)")
+        quotient = reader.read_unary(_MAX_QUOTIENT)
+        if quotient > _MAX_QUOTIENT:
+            raise CodecError("corrupt Rice stream (runaway unary code)")
         remainder = reader.read_bits(parameter)
         residuals.append(zigzag_decode((quotient << parameter) | remainder))
     return residuals

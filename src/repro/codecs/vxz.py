@@ -34,7 +34,6 @@ from repro.codecs.lz77 import (
     LENGTH_SLOTS,
     NUM_DISTANCE_SYMBOLS,
     NUM_LITLEN_SYMBOLS,
-    Token,
     distance_to_slot,
     length_to_slot,
     tokenize,
@@ -169,8 +168,3 @@ class VxzCodec(Codec):
         from repro.codecs.guest import vxz_guest_units
 
         return vxz_guest_units()
-
-
-def encode_tokens_reference(tokens: list[Token]) -> list[int]:
-    """Expose staged symbol counts for tests/benchmarks (debugging helper)."""
-    return [token.literal if token.is_literal else 257 for token in tokens]

@@ -1,42 +1,16 @@
-"""The VXA architecture core: vxZIP archive writer and vxUnZIP archive reader."""
+"""The VXA architecture core: decoder storage, extension headers, policy."""
 
-from repro.core.archive_reader import (
-    ArchiveReader,
-    ExtractedFile,
-    IntegrityReport,
-    MODE_AUTO,
-    MODE_NATIVE,
-    MODE_VXA,
-)
-from repro.core.archive_writer import (
-    ArchivedFileInfo,
-    ArchiveManifest,
-    ArchiveWriter,
-    create_archive,
-)
 from repro.core.decoder_store import DecoderStore, StoredDecoder
 from repro.core.extension import VxaExtension, parse_extension
-from repro.core.integrity import check_archive, format_report, is_archive_intact
+from repro.core.integrity import format_report
 from repro.core.policy import SecurityAttributes, VmReusePolicy, reuse_groups
 
 __all__ = [
-    "ArchiveReader",
-    "ExtractedFile",
-    "IntegrityReport",
-    "MODE_AUTO",
-    "MODE_NATIVE",
-    "MODE_VXA",
-    "ArchivedFileInfo",
-    "ArchiveManifest",
-    "ArchiveWriter",
-    "create_archive",
     "DecoderStore",
     "StoredDecoder",
     "VxaExtension",
     "parse_extension",
-    "check_archive",
     "format_report",
-    "is_archive_intact",
     "SecurityAttributes",
     "VmReusePolicy",
     "reuse_groups",

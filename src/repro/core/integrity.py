@@ -1,9 +1,9 @@
-"""Stand-alone archive integrity checking helpers.
+"""Integrity report rendering and media-level damage assessment.
 
-Thin wrappers over :meth:`repro.api.Archive.check` for callers that just
-want a yes/no answer or a printable report, plus the *media-level*
-assessment (:func:`assess_media`) that classifies an archive's bytes
-without running any decoders: every member extent is checked against the
+:func:`format_report` prints an :class:`~repro.api.archive.IntegrityReport`
+(the outcome of :meth:`repro.api.Archive.check`) the way ``vxunzip check``
+shows it.  :func:`assess_media` classifies an archive's bytes without
+running any decoders: every member extent is checked against the
 end-of-archive digest table (or its CRC when the archive predates commit
 records) and classified ``intact`` / ``suspect`` / ``lost`` -- the verdicts
 ``vxunzip check --deep`` and :mod:`repro.repair` are built on.
@@ -11,38 +11,13 @@ records) and classified ``intact`` / ``suspect`` / ``lost`` -- the verdicts
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.codecs.registry import CodecRegistry
-from repro.core.archive_reader import IntegrityReport
-from repro.core.policy import VmReusePolicy
 from repro.errors import ArchiveError, VxaError, ZipFormatError
 
-
-def check_archive(
-    archive,
-    *,
-    registry: CodecRegistry | None = None,
-    reuse_policy: VmReusePolicy = VmReusePolicy.ALWAYS_FRESH,
-) -> IntegrityReport:
-    """Run the full always-use-the-archived-decoder integrity check.
-
-    ``archive`` may be raw bytes, a filesystem path, or a seekable binary
-    file object.
-    """
-    from repro.api import open as open_archive
-    from repro.api.options import ReadOptions
-
-    if isinstance(archive, (bytes, bytearray, memoryview)):
-        archive = io.BytesIO(bytes(archive))
-    with open_archive(archive, ReadOptions(registry=registry)) as opened:
-        return opened.check(reuse=reuse_policy)
-
-
-def is_archive_intact(archive, **kwargs) -> bool:
-    """True when every decoder-bearing member decodes to its recorded checksum."""
-    return check_archive(archive, **kwargs).ok
+if TYPE_CHECKING:
+    from repro.api.archive import IntegrityReport
 
 
 def format_report(report: IntegrityReport) -> str:

@@ -225,7 +225,7 @@ class FaultPlan:
 
         In a process-pool worker the process exits hard (the parent sees
         ``BrokenProcessPool``, exactly like a real segfault/OOM kill); in a
-        thread worker or the serial path it raises
+        thread worker or the inline shard it raises
         :class:`~repro.errors.WorkerCrashed`, which the pool and the
         salvage loop treat as the same event.
         """

@@ -26,12 +26,16 @@ archive file itself.  This package exploits that:
   breakers (protocol spec: ``docs/vxserve-protocol.md``; the matching
   retrying client is :mod:`repro.client` / the ``vxquery`` script).
 
+* :mod:`~repro.parallel.engine` is the only read path: it turns a member
+  list into a report, running a single shard inline on the caller's
+  archive and more shards on the pool.
+
 The facade surfaces all of this as ``Archive.extract_into(..., jobs=N)``,
 ``Archive.check(jobs=N)`` and ``ReadOptions.jobs`` -- output bytes and check
-verdicts are *identical* to the serial path, because each worker runs the
-serial code over its shard and the §2.4 ``VmReusePolicy`` /
-``SecurityAttributes.same_domain`` decisions are taken per worker session
-exactly as a serial session takes them.
+verdicts are *identical* for every ``jobs``, because the inline shard and
+each worker run the same member loop and the §2.4 ``VmReusePolicy`` /
+``SecurityAttributes.same_domain`` decisions are taken per session exactly
+as one session over all members takes them.
 """
 
 from repro.parallel.admission import (

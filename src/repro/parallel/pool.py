@@ -21,7 +21,6 @@ import pickle
 import threading
 from concurrent.futures import (
     BrokenExecutor,
-    FIRST_EXCEPTION,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
@@ -170,21 +169,6 @@ class WorkerPool:
         self._executor.shutdown(wait=False, cancel_futures=True)
         self._executor = self._make_executor()
         self.respawns += 1
-
-    def run(self, fn, payloads: list) -> list:
-        """Run ``fn(payload)`` for every payload; results in payload order.
-
-        Raises the first failure (by payload order) after letting the other
-        workers finish or fail -- a deterministic error surface regardless
-        of completion timing.
-        """
-        futures = [self._executor.submit(fn, payload) for payload in payloads]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        errors = [future.exception() for future in futures]
-        for error in errors:
-            if error is not None:
-                raise error
-        return [future.result() for future in futures]
 
     def run_all(self, fn, payloads: list) -> list:
         """Run every payload to an outcome; never raises for worker failures.

@@ -27,7 +27,7 @@ session re-initialises the sandbox once per domain instead of once per
 attribute flip.  This is pure *scheduling*: the policy itself is still
 applied decode-by-decode inside the worker's session, and member outputs are
 position-independent (each decode is checksummed against the member's
-recorded CRC), so results are byte-identical to the serial path.
+recorded CRC), so results are byte-identical to a single-shard run.
 
 Everything here is deterministic: ties break on archive order, never on
 hashing or timing, so the same archive and ``jobs`` always produce the same
@@ -75,7 +75,7 @@ class Scheduler:
 
         Returns only non-empty shards, ordered by worker id.  With one job
         (or one item) a single shard preserving archive order is returned,
-        which the engine uses as its serial-fallback signal.
+        which the engine runs inline on the caller's archive.
         """
         items = list(items)
         if not items:

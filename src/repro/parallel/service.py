@@ -429,15 +429,9 @@ class BatchService:
         directory = pathlib.Path(request["dest"])
         start = time.perf_counter()
         with vxa.open(request["archive"], options) as archive:
-            members = request.get("members")
-            wanted = members if members is not None else archive.names()
-            # Validate every target before any worker touches the disk, as
-            # the serial facade does (zip-slip protection, single abort).
-            directory.mkdir(parents=True, exist_ok=True)
-            for name in wanted:
-                vxa.safe_extract_path(directory, name)
             report = parallel_extract_into(
-                archive, directory, wanted, jobs, pool=self.pool)
+                archive, directory, request.get("members"), jobs,
+                pool=self.pool)
             stats = archive.session.stats
             self._absorb(stats)
             return {

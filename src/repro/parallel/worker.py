@@ -13,10 +13,9 @@ recompilation of identical decoder images.
 
 State lives in ``threading.local``: a process-pool worker runs tasks on its
 main thread, a thread-pool worker is itself a thread, so the same bootstrap
-serves both and no state is ever shared between workers.
-
-The shard runners return plain dicts of primitives -- they must cross a
-pickle boundary in process mode and a JSON boundary in ``vxserve``.
+serves both and no state is ever shared between workers.  The shard
+runners themselves live in :mod:`repro.parallel.engine`, next to the
+member loops they run.
 """
 
 from __future__ import annotations
@@ -38,11 +37,10 @@ _STATE = threading.local()
 def in_worker() -> bool:
     """Is the current thread executing a pool shard right now?
 
-    The flag is set for the duration of :func:`run_extract_shard` /
-    :func:`run_check_shard` only.  The containment layer consults it to
-    decide whether a simulated worker kill should crash the shard (so pool
-    crash recovery handles it) or be recorded as one contained member
-    failure (the serial path).
+    The flag is set for the duration of :func:`shard_archive` only.  The
+    engine's member loops consult it to decide whether a simulated worker
+    kill should crash the shard (so pool crash recovery handles it) or be
+    recorded as one contained member failure (the inline shard).
     """
     return getattr(_STATE, "in_worker", False)
 
@@ -55,17 +53,6 @@ def in_process_worker() -> bool:
     the caller's process and must simulate the death by raising instead.
     """
     return multiprocessing.current_process().name != "MainProcess"
-
-
-@contextlib.contextmanager
-def _worker_scope():
-    """Mark the current thread as running a pool shard."""
-    previous = getattr(_STATE, "in_worker", False)
-    _STATE.in_worker = True
-    try:
-        yield
-    finally:
-        _STATE.in_worker = previous
 
 
 def _archives() -> OrderedDict:
@@ -129,9 +116,7 @@ def _acquire_archive(source: dict, options):
         for existing in stale:
             cache.pop(existing).close()
     target = source["path"] if "path" in source else source["data"]
-    # Workers always run the serial path over their shard; the scheduler
-    # already decided the parallelism.
-    archive = vxa.open(target, options.with_changes(jobs=1))
+    archive = vxa.open(target, options)
     cache[key] = archive
     while len(cache) > MAX_CACHED_ARCHIVES:
         _, evicted = cache.popitem(last=False)
@@ -167,79 +152,20 @@ def shutdown_worker() -> None:
         cache.clear()
 
 
-def _stats_delta(before: dict, after: dict) -> dict:
-    return {key: after[key] - before.get(key, 0) for key in after}
+@contextlib.contextmanager
+def shard_archive(payload: dict):
+    """The worker's archive for one shard payload, with the thread marked.
 
-
-def run_extract_shard(payload: dict) -> dict:
-    """Extract one shard's members; returns records plus the stats delta.
-
-    Payload keys: ``source`` (``{"path": ...}`` or ``{"data": ...}``),
-    ``options`` (:class:`~repro.api.options.ReadOptions`), ``names`` (the
-    shard's members, already in the scheduler's cache-friendly order),
-    ``directory``, ``mode``, ``force_decode``; plus the containment
-    layer's ``worker`` (shard worker id stamped onto failure records) and
+    Payload keys read here: ``source`` (``{"path": ...}`` or ``{"data":
+    ...}``), ``options`` (:class:`~repro.api.options.ReadOptions`) and
     ``fresh`` (crash retry: reopen the archive so the member runs against
     a pristine VM and session).
     """
-    with _worker_scope():
+    previous = getattr(_STATE, "in_worker", False)
+    _STATE.in_worker = True
+    try:
         if payload.get("fresh"):
             _evict_archive(payload["source"], payload["options"])
-        archive = _acquire_archive(payload["source"], payload["options"])
-        before = archive.session.stats.as_dict()
-        report = archive.extract_into(
-            payload["directory"],
-            names=payload["names"],
-            mode=payload.get("mode"),
-            force_decode=payload.get("force_decode"),
-            jobs=1,
-        )
-        after = archive.session.stats.as_dict()
-    worker = payload.get("worker")
-    failures = []
-    for failure in report.failures:
-        record = failure.as_dict()
-        record["worker"] = worker
-        failures.append(record)
-    return {
-        "records": [
-            {
-                "name": record.name,
-                "path": str(record.path),
-                "size": record.size,
-                "used_vxa_decoder": record.used_vxa_decoder,
-                "decoded": record.decoded,
-                "codec_name": record.codec_name,
-            }
-            for record in report
-        ],
-        "failures": failures,
-        "stats": _stats_delta(before, after),
-    }
-
-
-def run_check_shard(payload: dict) -> dict:
-    """Check one shard's members; returns verdicts plus session counters.
-
-    The worker's :meth:`Archive.check` runs over the shard's names in the
-    scheduler's order with a dedicated session, exactly as the serial check
-    does for the whole archive, so per-member verdicts cannot differ.
-    """
-    from repro.core.policy import VmReusePolicy
-
-    with _worker_scope():
-        if payload.get("fresh"):
-            _evict_archive(payload["source"], payload["options"])
-        archive = _acquire_archive(payload["source"], payload["options"])
-        reuse = payload.get("reuse")
-        report = archive.check(
-            reuse=VmReusePolicy(reuse) if reuse is not None else None,
-            names=payload["names"],
-            jobs=1,
-        )
-    return {
-        "checked": report.checked,
-        "passed": report.passed,
-        "failures": list(report.failures),
-        **report.counters(),
-    }
+        yield _acquire_archive(payload["source"], payload["options"])
+    finally:
+        _STATE.in_worker = previous

@@ -22,7 +22,7 @@ memory-check policy and translator configuration; :class:`DecoderSession`
 guarantees this by keying shared caches by decoder pseudo-file offset.
 
 Counters accumulate across runs (they feed ``vxunzip --stats``, the
-profiler report and :class:`~repro.core.archive_reader.IntegrityReport`):
+profiler report and :class:`~repro.api.archive.IntegrityReport`):
 
 * ``hits`` / ``misses`` -- fragment executions served from the cache versus
   fragment translations,

@@ -16,10 +16,6 @@ def _is_label(line: str) -> bool:
     return stripped.endswith(":") and not stripped.startswith((".byte", ".word"))
 
 
-def _mnemonic(line: str) -> str:
-    return line.split()[0] if line.strip() else ""
-
-
 def optimize_lines(lines: list[str]) -> list[str]:
     """Apply peephole passes until a fixed point is reached."""
     changed = True

@@ -357,37 +357,28 @@ def test_builder_requires_name_and_rejects_use_after_finish(tmp_path):
             builder.add("late", b"data")
 
 
-# -- deprecated shim equivalence --------------------------------------------------------
+# -- determinism -------------------------------------------------------------
 
 
-def test_shims_match_facade_output(member_data):
+def test_identical_builds_are_byte_identical(member_data):
     inputs = {"src/module.c": member_data["src/module.c"],
               "notes/readme.txt": member_data["notes/readme.txt"]}
 
-    buffer = io.BytesIO()
-    with vxa.create(buffer) as builder:
-        for name, data in inputs.items():
-            builder.add(name, data)
+    def build() -> bytes:
+        buffer = io.BytesIO()
+        with vxa.create(buffer) as builder:
+            for name, data in inputs.items():
+                builder.add(name, data)
+        return buffer.getvalue()
 
-    with pytest.warns(DeprecationWarning):
-        from repro.core import ArchiveWriter
-        writer = ArchiveWriter()
-    for name, data in inputs.items():
-        writer.add_file(name, data)
-    legacy_bytes = writer.finish()
-    # Deterministic timestamps make the two byte streams identical.
-    assert legacy_bytes == buffer.getvalue()
-
-    with pytest.warns(DeprecationWarning):
-        from repro.core import ArchiveReader
-        reader = ArchiveReader(legacy_bytes)
-    with vxa.open(io.BytesIO(buffer.getvalue())) as archive:
+    # Deterministic timestamps make two builds of the same inputs identical.
+    first = build()
+    assert build() == first
+    with vxa.open(first) as archive:
         for name, data in inputs.items():
-            legacy = reader.extract(name, mode=vxa.MODE_VXA)
-            modern = archive.extract(name, mode=vxa.MODE_VXA)
-            assert legacy.data == modern.data == data
-            assert legacy.used_vxa_decoder and modern.used_vxa_decoder
-    assert reader.check_archive().ok
+            extracted = archive.extract(name, mode=vxa.MODE_VXA)
+            assert extracted.data == data and extracted.used_vxa_decoder
+        assert archive.check().ok
 
 
 # -- public surface ---------------------------------------------------------------------
@@ -406,8 +397,8 @@ def test_top_level_exports_are_the_facade():
         assert name in repro.__all__
 
 
-def test_warnings_only_from_shims(archive_path):
-    """The facade itself must not emit deprecation warnings."""
+def test_facade_emits_no_deprecation_warnings(archive_path):
+    """The facade must not emit deprecation warnings."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         with vxa.open(archive_path) as archive:

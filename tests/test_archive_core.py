@@ -1,18 +1,19 @@
-"""Integration tests for the VXA core: vxZIP writer and vxUnZIP reader."""
+"""Integration tests for the VXA core through ``vxa.create``, ``vxa.open``
+and ``Archive.check``: codec selection, decoder storage, the redec path,
+interop with plain ZIP tools, and integrity checking."""
 
 import io
 import zipfile
 
-import numpy as np
 import pytest
 
+import repro.api as vxa
+from repro.api import MODE_NATIVE, MODE_VXA
 from repro.codecs.registry import CodecRegistry, default_registry
 from repro.codecs.vxz import VxzCodec
-from repro.core.archive_reader import ArchiveReader, MODE_NATIVE, MODE_VXA
-from repro.core.archive_writer import ArchiveWriter, create_archive
 from repro.core.extension import VxaExtension, parse_extension
 from repro.core.policy import SecurityAttributes, VmReusePolicy, reuse_groups
-from repro.core.integrity import check_archive, format_report, is_archive_intact
+from repro.core.integrity import format_report
 from repro.elf.reader import is_vxa_executable
 from repro.errors import ArchiveError, DecoderMissingError, GuestFault, IntegrityError
 from repro.formats.bmp import is_bmp
@@ -35,13 +36,18 @@ def sample_files():
     }
 
 
+def _build(files: dict[str, bytes], **options):
+    """Archive ``files`` in memory; returns ``(archive_bytes, manifest)``."""
+    buffer = io.BytesIO()
+    with vxa.create(buffer, vxa.WriteOptions(**options)) as builder:
+        for name, data in files.items():
+            builder.add(name, data)
+    return buffer.getvalue(), builder.manifest
+
+
 @pytest.fixture(scope="module")
 def archive_and_manifest(sample_files):
-    writer = ArchiveWriter(allow_lossy=True)
-    for name, data in sample_files.items():
-        writer.add_file(name, data)
-    archive = writer.finish()
-    return archive, writer.manifest
+    return _build(sample_files, allow_lossy=True)
 
 
 # -- writer behaviour ---------------------------------------------------------------
@@ -49,8 +55,8 @@ def archive_and_manifest(sample_files):
 
 def test_archive_lists_all_files(archive_and_manifest, sample_files):
     archive, _ = archive_and_manifest
-    reader = ArchiveReader(archive)
-    assert set(reader.names()) == set(sample_files)
+    with vxa.open(archive) as reader:
+        assert set(reader.names()) == set(sample_files)
 
 
 def test_codec_selection_per_file(archive_and_manifest):
@@ -64,18 +70,16 @@ def test_codec_selection_per_file(archive_and_manifest):
 
 
 def test_decoders_are_deduplicated(sample_files):
-    writer = ArchiveWriter()
     # Two text files share the default codec: only one decoder gets stored.
-    writer.add_file("a.txt", sample_files["src/driver.c"])
-    writer.add_file("b.txt", sample_files["logs/boot.log"])
-    writer.finish()
-    assert len(writer.manifest.decoders) == 1
-    assert writer.manifest.decoders[0].codec_name == "vxz"
+    _, manifest = _build({"a.txt": sample_files["src/driver.c"],
+                          "b.txt": sample_files["logs/boot.log"]})
+    assert len(manifest.decoders) == 1
+    assert manifest.decoders[0].codec_name == "vxz"
 
 
 def test_lossy_requires_permission(sample_files):
-    writer = ArchiveWriter(allow_lossy=False)
-    info = writer.add_file("photo.ppm", sample_files["photos/shot.ppm"])
+    with vxa.create(io.BytesIO(), vxa.WriteOptions(allow_lossy=False)) as builder:
+        info = builder.add("photo.ppm", sample_files["photos/shot.ppm"])
     chosen = default_registry().get(info.codec)
     assert not chosen.info.lossy          # lossless fallback without permission
 
@@ -83,9 +87,8 @@ def test_lossy_requires_permission(sample_files):
 def test_redec_path_stores_precompressed_data_untouched(sample_files):
     codec = VxzCodec()
     already_compressed = codec.encode(sample_files["src/driver.c"])
-    writer = ArchiveWriter()
-    info = writer.add_file("bundle.vxz", already_compressed)
-    archive = writer.finish()
+    archive, manifest = _build({"bundle.vxz": already_compressed})
+    [info] = manifest.files
     assert info.precompressed
     assert info.stored_size == len(already_compressed)
     # Old tools see a method-0 member holding the original compressed bytes.
@@ -94,23 +97,23 @@ def test_redec_path_stores_precompressed_data_untouched(sample_files):
 
 
 def test_store_raw_files_have_no_decoder():
-    writer = ArchiveWriter()
-    writer.add_file("plain.txt", b"tiny", store_raw=True)
-    archive = writer.finish()
-    reader = ArchiveReader(archive)
-    assert reader.extension_for("plain.txt") is None
-    assert reader.extract("plain.txt").data == b"tiny"
-    assert not writer.manifest.decoders
+    buffer = io.BytesIO()
+    with vxa.create(buffer) as builder:
+        builder.add("plain.txt", b"tiny", store_raw=True)
+    with vxa.open(buffer.getvalue()) as reader:
+        assert reader.extension_for("plain.txt") is None
+        assert reader.extract("plain.txt").data == b"tiny"
+    assert not builder.manifest.decoders
 
 
 def test_writer_rejects_empty_name_and_reuse_after_finish():
-    writer = ArchiveWriter()
-    with pytest.raises(ArchiveError):
-        writer.add_file("", b"data")
-    writer.add_file("x", b"data")
-    writer.finish()
-    with pytest.raises(ArchiveError):
-        writer.add_file("y", b"data")
+    with vxa.create(io.BytesIO()) as builder:
+        with pytest.raises(ArchiveError):
+            builder.add("", b"data")
+        builder.add("x", b"data")
+        builder.finish()
+        with pytest.raises(ArchiveError):
+            builder.add("y", b"data")
 
 
 # -- extension headers and decoder pseudo-files -----------------------------------------
@@ -132,13 +135,13 @@ def test_extension_header_round_trip():
 
 def test_members_carry_extension_and_decoder(archive_and_manifest):
     archive, manifest = archive_and_manifest
-    reader = ArchiveReader(archive)
-    for name in reader.names():
-        extension = reader.extension_for(name)
-        assert extension is not None
-        assert extension.codec_name in default_registry().names
-        image = reader.decoder_image_for(name)
-        assert is_vxa_executable(image)
+    with vxa.open(archive) as reader:
+        for name in reader.names():
+            extension = reader.extension_for(name)
+            assert extension is not None
+            assert extension.codec_name in default_registry().names
+            image = reader.decoder_image_for(name)
+            assert is_vxa_executable(image)
     # The archive embeds one decoder per distinct codec used.
     codecs_used = {info.codec for info in manifest.files}
     assert len(manifest.decoders) == len(codecs_used)
@@ -160,30 +163,30 @@ def test_old_zip_tools_can_list_but_not_extract_vxa_members(archive_and_manifest
 
 def test_extract_native_fast_path(archive_and_manifest, sample_files):
     archive, _ = archive_and_manifest
-    reader = ArchiveReader(archive)
-    result = reader.extract("src/driver.c", mode=MODE_NATIVE)
+    with vxa.open(archive) as reader:
+        result = reader.extract("src/driver.c", mode=MODE_NATIVE)
     assert not result.used_vxa_decoder
     assert result.data == sample_files["src/driver.c"]
 
 
 def test_extract_with_archived_decoder_matches_native(archive_and_manifest, sample_files):
     archive, _ = archive_and_manifest
-    reader = ArchiveReader(archive)
-    vxa = reader.extract("src/driver.c", mode=MODE_VXA)
-    native = reader.extract("src/driver.c", mode=MODE_NATIVE)
-    assert vxa.used_vxa_decoder
-    assert vxa.data == native.data == sample_files["src/driver.c"]
+    with vxa.open(archive) as reader:
+        guest = reader.extract("src/driver.c", mode=MODE_VXA)
+        native = reader.extract("src/driver.c", mode=MODE_NATIVE)
+    assert guest.used_vxa_decoder
+    assert guest.data == native.data == sample_files["src/driver.c"]
 
 
 def test_extract_without_codec_knowledge(archive_and_manifest, sample_files):
     """The critical durability property: a reader with an *empty* codec set
     can still decode everything, because decoders travel with the archive."""
     archive, _ = archive_and_manifest
-    empty_registry = CodecRegistry([VxzCodec()], default="vxz")
-    empty_registry.unregister  # (still has the mandatory default, but nothing else)
-    reader = ArchiveReader(archive, registry=CodecRegistry([VxzCodec()], default="vxz"))
-    # Remove even the default from lookups by asking for VXA mode explicitly.
-    extracted = reader.extract_all(mode=MODE_VXA)
+    # The registry keeps only its mandatory default, and VXA mode keeps even
+    # that out of the decode path.
+    options = vxa.ReadOptions(registry=CodecRegistry([VxzCodec()], default="vxz"))
+    with vxa.open(archive, options) as reader:
+        extracted = reader.extract_all(mode=MODE_VXA)
     assert extracted["src/driver.c"].data == sample_files["src/driver.c"]
     for result in extracted.values():
         assert result.used_vxa_decoder
@@ -194,10 +197,10 @@ def test_extract_without_codec_knowledge(archive_and_manifest, sample_files):
 
 def test_lossy_member_decodes_to_recorded_reference(archive_and_manifest, sample_files):
     archive, _ = archive_and_manifest
-    reader = ArchiveReader(archive)
-    result = reader.extract("photos/shot.ppm", mode=MODE_VXA)
+    with vxa.open(archive) as reader:
+        result = reader.extract("photos/shot.ppm", mode=MODE_VXA)
+        extension = reader.extension_for("photos/shot.ppm")
     assert is_bmp(result.data)
-    extension = reader.extension_for("photos/shot.ppm")
     assert extension.lossy
     assert len(result.data) == extension.original_size
 
@@ -205,23 +208,23 @@ def test_lossy_member_decodes_to_recorded_reference(archive_and_manifest, sample
 def test_native_mode_fails_when_codec_unknown(archive_and_manifest):
     archive, _ = archive_and_manifest
     audio_free = CodecRegistry([VxzCodec()], default="vxz")
-    reader = ArchiveReader(archive, registry=audio_free)
-    with pytest.raises(DecoderMissingError):
-        reader.extract("music/song.wav", mode=MODE_NATIVE)
-    # AUTO mode falls back to the archived decoder instead.
-    fallback = reader.extract("music/song.wav")
+    with vxa.open(archive, vxa.ReadOptions(registry=audio_free)) as reader:
+        with pytest.raises(DecoderMissingError):
+            reader.extract("music/song.wav", mode=MODE_NATIVE)
+        # AUTO mode falls back to the archived decoder instead.
+        fallback = reader.extract("music/song.wav")
     assert fallback.used_vxa_decoder
 
 
 def test_precompressed_member_left_compressed_by_default(sample_files):
     codec = VxzCodec()
     compressed = codec.encode(sample_files["logs/boot.log"])
-    archive, _ = create_archive({"logs.vxz": compressed})
-    reader = ArchiveReader(archive)
-    default = reader.extract("logs.vxz")
+    archive, _ = _build({"logs.vxz": compressed})
+    with vxa.open(archive) as reader:
+        default = reader.extract("logs.vxz")
+        forced = reader.extract("logs.vxz", force_decode=True)
     assert not default.decoded
     assert default.data == compressed
-    forced = reader.extract("logs.vxz", force_decode=True)
     assert forced.decoded
     assert forced.data == sample_files["logs/boot.log"]
 
@@ -229,15 +232,15 @@ def test_precompressed_member_left_compressed_by_default(sample_files):
 def test_corrupted_member_fails_integrity(archive_and_manifest):
     archive, _ = archive_and_manifest
     corrupted = bytearray(archive)
-    reader = ArchiveReader(archive)
-    entry = reader.entries()[0]
+    with vxa.open(archive) as reader:
+        entry = reader.entries()[0]
     # Flip a byte in the middle of the member's stored *data* region (past the
     # 30-byte local header, the filename and the VXA extension header).
     data_start = entry.local_header_offset + 30 + len(entry.name.encode()) + len(entry.extra)
     corrupted[data_start + entry.compressed_size // 2] ^= 0xFF
-    bad_reader = ArchiveReader(bytes(corrupted))
-    with pytest.raises((IntegrityError, ArchiveError, GuestFault)):
-        bad_reader.extract(entry.name, mode=MODE_VXA)
+    with vxa.open(bytes(corrupted)) as bad_reader:
+        with pytest.raises((IntegrityError, ArchiveError, GuestFault)):
+            bad_reader.extract(entry.name, mode=MODE_VXA)
 
 
 # -- integrity checking ----------------------------------------------------------------------
@@ -245,23 +248,24 @@ def test_corrupted_member_fails_integrity(archive_and_manifest):
 
 def test_integrity_check_passes_for_good_archive(archive_and_manifest):
     archive, _ = archive_and_manifest
-    report = check_archive(archive)
+    with vxa.open(archive) as reader:
+        report = reader.check()
     assert report.ok
     assert report.checked == report.passed == 4
     assert "OK" in format_report(report)
-    assert is_archive_intact(archive)
 
 
 def test_integrity_check_detects_corruption(archive_and_manifest):
     archive, _ = archive_and_manifest
-    reader = ArchiveReader(archive)
-    entry = reader.entries()[0]
+    with vxa.open(archive) as reader:
+        entry = reader.entries()[0]
     corrupted = bytearray(archive)
     corrupted[entry.local_header_offset + 64] ^= 0x55
-    report = check_archive(bytes(corrupted))
+    with vxa.open(bytes(corrupted)) as bad_reader:
+        report = bad_reader.check()
     assert not report.ok
     assert report.failures
-    assert not is_archive_intact(bytes(corrupted))
+    assert "failures:" in format_report(report)
 
 
 # -- VM reuse policy ---------------------------------------------------------------------------
@@ -283,9 +287,13 @@ def test_reuse_groups_policies():
 
 
 def test_integrity_check_with_reuse_policy(archive_and_manifest):
-    archive, _ = archive_and_manifest
-    report = check_archive(archive, reuse_policy=VmReusePolicy.ALWAYS_REUSE)
+    archive, manifest = archive_and_manifest
+    with vxa.open(archive) as reader:
+        report = reader.check(reuse=VmReusePolicy.ALWAYS_REUSE)
     assert report.ok
+    # One VM per stored decoder; every later member of its codec reuses it.
+    assert report.vm_initialisations == len(manifest.decoders)
+    assert report.vm_reuses == report.checked - len(manifest.decoders)
 
 
 def test_manifest_reports_decoder_overhead(archive_and_manifest):

@@ -61,6 +61,28 @@ def test_bitreader_exhaustion_raises():
         reader.read_bit()
 
 
+@given(st.integers(min_value=0, max_value=7), st.lists(st.integers(min_value=0, max_value=70), max_size=12))
+def test_unary_matches_bit_at_a_time(lead, runs):
+    bulk, single = BitWriter(), BitWriter()
+    for writer in (bulk, single):
+        writer.write_bits(0, lead)
+    for run in runs:
+        bulk.write_unary(run)
+        for _ in range(run):
+            single.write_bit(1)
+        single.write_bit(0)
+    assert bulk.getvalue() == single.getvalue()
+    reader = BitReader(bulk.getvalue())
+    reader.read_bits(lead)
+    assert [reader.read_unary(70) for _ in runs] == runs
+
+
+def test_unary_read_stops_past_limit_and_on_exhaustion():
+    assert BitReader(b"\xff" * 4 + b"\x00").read_unary(20) == 21
+    with pytest.raises(CodecError):
+        BitReader(b"\xff" * 4).read_unary(100)
+
+
 def test_align_and_byte_reads():
     writer = BitWriter()
     writer.write_bits(1, 3)

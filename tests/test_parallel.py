@@ -164,16 +164,22 @@ def test_resolve_executor_auto(monkeypatch):
                             payload=lambda: None) == "thread"  # unpicklable
 
 
-def test_worker_pool_propagates_first_error_by_payload_order():
+def test_worker_pool_outcomes_follow_payload_order():
     def boom(payload):
         if payload % 2:
             raise ValueError(f"payload {payload}")
         return payload
 
     with WorkerPool(2, vxa.EXECUTOR_THREAD) as pool:
-        with pytest.raises(ValueError, match="payload 1"):
-            pool.run(boom, [0, 1, 2, 3])
-        assert pool.run(boom, [0, 2, 4]) == [0, 2, 4]
+        outcomes = pool.run_all(boom, [0, 1, 2, 3])
+        assert [outcome.payload for outcome in outcomes] == [0, 1, 2, 3]
+        assert [outcome.result for outcome in outcomes] == [0, None, 2, None]
+        assert [str(outcome.error) if outcome.error else None
+                for outcome in outcomes] == [None, "payload 1", None, "payload 3"]
+        assert not any(outcome.crashed for outcome in outcomes)
+        # An ordinary error does not break the pool.
+        assert [outcome.result for outcome in pool.run_all(boom, [0, 2, 4])] == [0, 2, 4]
+        assert pool.respawns == 0
 
 
 # -- determinism: parallel == serial ------------------------------------------
@@ -403,6 +409,28 @@ def test_single_decoder_archive_parallelises(tmp_path, archive_path,
         assert (out / name).read_bytes() == archive_members[name][0]
     # More than one worker initialised a VM for the shared decoder image.
     assert stats.vm_initialisations > 1
+
+
+def test_single_shard_runs_inline(tmp_path, archive_path, archive_members,
+                                  monkeypatch):
+    """jobs=1 runs on the caller's archive: no pool, no spooled copy."""
+    import repro.parallel.engine as engine
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the inline shard must not reach the pool")
+
+    monkeypatch.setattr(engine, "WorkerPool", refuse)
+    monkeypatch.setattr(engine.tempfile, "mkstemp", refuse)
+    # A bytes-backed archive would have to be spooled to reach a worker.
+    with vxa.open(archive_path.read_bytes(), _options()) as archive:
+        records = archive.extract_into(tmp_path / "inline", jobs=1)
+        report = archive.check(jobs=1)
+        one_member = archive.check(jobs=4, names=["text0.txt"])
+    assert [record.name for record in records] == list(archive_members)
+    for name, (data, _, _) in archive_members.items():
+        assert (tmp_path / "inline" / name).read_bytes() == data
+    assert report.ok and report.checked == 9
+    assert one_member.ok and one_member.checked == 1
 
 
 def test_read_options_jobs_defaults_flow_through(tmp_path, archive_path,
