@@ -88,8 +88,8 @@ def test_ablation_vm_reuse(benchmark, registry):
         with vxa.open(buffer) as archive:
             report = archive.check(reuse=policy)
         assert report.ok
-        session_rows.append([policy.value, report.vm_initialisations,
-                             report.vm_reuses])
+        session_rows.append([policy.value, report.stats.vm_initialisations,
+                             report.stats.vm_reuses])
     table += "\n\n" + format_table(
         ["DecoderSession policy", "VM initialisations", "VM state reuses"],
         session_rows,

@@ -42,7 +42,7 @@ from repro.api.options import (
     ON_ERROR_QUARANTINE,
     ReadOptions,
 )
-from repro.api.session import DecoderSession
+from repro.api.session import DecoderSession, SessionStats
 
 
 #: How one member is extracted (:meth:`Archive._route`).
@@ -68,53 +68,20 @@ class ExtractedFile:
 class IntegrityReport:
     """Outcome of an integrity check (:meth:`Archive.check`).
 
-    ``vm_initialisations`` / ``vm_reuses`` count how often the decoder
-    session loaded a pristine decoder image versus kept VM state across
-    files (paper section 2.4); they feed the VM-reuse ablation benchmark.
-    The code-cache counters summarise the translation engine's work over
-    the whole check: fragments translated, fragment-cache hits, chained
-    (back-patched) branch transitions and retranslations of already-seen
-    entry points.
+    ``stats`` is the check's :class:`~repro.api.session.SessionStats`: the
+    decoder-session counters of every member checked (VM
+    initialisations versus reuses, paper section 2.4, and the code-cache
+    work), plus the open of the archive being checked.
     """
-
-    #: Session counters carried verbatim (names match ``SessionStats``);
-    #: every producer/merger of reports goes through :meth:`counters` /
-    #: :meth:`add_counters` so a counter added here propagates everywhere.
-    COUNTER_FIELDS = ("vm_initialisations", "vm_reuses",
-                      "fragments_translated", "cache_hits",
-                      "chained_branches", "retranslations", "evictions",
-                      "guards_elided", "images_verified",
-                      "members_salvaged", "directory_reconstructed",
-                      "commit_record_verified")
 
     checked: int = 0
     passed: int = 0
     failures: list[str] = field(default_factory=list)
-    vm_initialisations: int = 0
-    vm_reuses: int = 0
-    fragments_translated: int = 0
-    cache_hits: int = 0
-    chained_branches: int = 0
-    retranslations: int = 0
-    evictions: int = 0
-    guards_elided: int = 0
-    images_verified: int = 0
-    members_salvaged: int = 0
-    directory_reconstructed: int = 0
-    commit_record_verified: int = 0
+    stats: SessionStats = field(default_factory=SessionStats)
 
     @property
     def ok(self) -> bool:
         return not self.failures and self.checked == self.passed
-
-    def counters(self) -> dict:
-        """The session counters as a plain dict."""
-        return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
-
-    def add_counters(self, source) -> None:
-        """Accumulate the counters of a report or :class:`SessionStats`."""
-        for name in self.COUNTER_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(source, name))
 
 
 @dataclass(frozen=True)
@@ -322,10 +289,7 @@ class Archive:
             self._limits = replace(self._limits, max_wall_seconds=wall)
         self._decoder_cache: dict[int, bytes] = {}
         self._session = self._new_session(self.options.reuse)
-        if self._zip.directory_reconstructed:
-            self._session.stats.directory_reconstructed += 1
-        if self._zip.commit_verified:
-            self._session.stats.commit_record_verified += 1
+        self._count_open(self._session.stats)
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------------
@@ -551,6 +515,12 @@ class Archive:
         """True when the archive's commit record matched its central directory."""
         return self._zip.commit_verified
 
+    def _count_open(self, stats: SessionStats) -> None:
+        """Count what this open found (a rebuilt directory, a verified
+        commit record) into ``stats``."""
+        stats.directory_reconstructed += int(self._zip.directory_reconstructed)
+        stats.commit_record_verified += int(self._zip.commit_verified)
+
     def check(self, *, reuse: VmReusePolicy | None = None,
               jobs: int | None = None,
               names: list[str] | None = None) -> IntegrityReport:
@@ -562,14 +532,15 @@ class Archive:
         check runs through a dedicated :class:`DecoderSession` honouring
         ``reuse`` (default: this archive's configured policy), so per-file
         :class:`SecurityAttributes` gate VM reuse exactly as section 2.4
-        prescribes; the report carries the session's reuse/re-init counters.
+        prescribes; ``report.stats`` is that session's counters plus this
+        archive's open (counted once, however many workers reopen it).
 
         As with :meth:`extract_into`, the :mod:`repro.parallel.engine` runs
         one shard inline and shards the decoder-bearing members by decoder
         image across a worker pool when ``jobs`` (default:
         ``ReadOptions.jobs``) and the plan allow; verdicts
-        (checked/passed/failures) do not depend on it and the report's
-        counters aggregate every session.  ``names`` restricts the check to
+        (checked/passed/failures) do not depend on it and ``report.stats``
+        aggregates every session.  ``names`` restricts the check to
         those members, in that order (a name missing from the archive
         raises, exactly as extraction would).
         """

@@ -23,7 +23,7 @@ posture costs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 from repro.core.policy import SecurityAttributes, VmReusePolicy
@@ -32,39 +32,74 @@ from repro.vm.limits import ExecutionLimits
 from repro.vm.machine import DecodeResult, ENGINE_TRANSLATOR, VirtualMachine
 
 
+def _counter(group: str, label: str) -> int:
+    """A session counter field; ``group``/``label`` say how it is printed."""
+    return field(default=0, metadata={"group": group, "label": label})
+
+
 @dataclass
 class SessionStats:
     """Counters for one decoder session (feeds the section 2.4 ablation).
 
-    The code-cache counters aggregate the per-run
+    This is the one declaration of the session counters: the integrity
+    report, ``vxunzip --stats`` and ``check`` output (:func:`format_stats`)
+    and every vxserve response and ``counters`` series derive from these
+    fields.  The code-cache counters aggregate the per-run
     :class:`~repro.vm.limits.ExecutionStats` of every decode performed
-    through this session; ``vxunzip --stats`` and
-    :class:`~repro.api.archive.IntegrityReport` surface them.
+    through this session.
     """
 
-    decodes: int = 0
-    vm_initialisations: int = 0     # pristine decoder image (re)loads
-    vm_reuses: int = 0              # decodes that kept previous VM state
-    fragments_translated: int = 0   # superblock translations performed
-    cache_hits: int = 0             # blocks served from the fragment cache
-    chained_branches: int = 0       # transitions over back-patched edges
-    retranslations: int = 0         # translations of an already-seen entry
-    evictions: int = 0              # fragments dropped by the LRU entry cap
-    guards_elided: int = 0          # bounds guards dropped on static proofs
-    images_verified: int = 0        # decoder images statically analysed
-    members_salvaged: int = 0       # members extracted despite media damage
-    directory_reconstructed: int = 0  # opens that rebuilt a lost directory
-    commit_record_verified: int = 0   # opens whose commit record checked out
+    decodes: int = _counter("decoder VMs", "decode(s)")
+    # pristine decoder image (re)loads, and decodes that kept VM state
+    vm_initialisations: int = _counter("decoder VMs", "initialisation(s)")
+    vm_reuses: int = _counter("decoder VMs", "state reuse(s)")
+    fragments_translated: int = _counter("code cache", "fragment(s) translated")
+    cache_hits: int = _counter("code cache", "cache hit(s)")
+    # transitions over back-patched direct edges
+    chained_branches: int = _counter("code cache", "chained branch(es)")
+    # translations of an already-seen entry point
+    retranslations: int = _counter("code cache", "retranslation(s)")
+    # fragments dropped by the LRU entry cap
+    evictions: int = _counter("code cache", "eviction(s)")
+    # bounds guards dropped on static proofs
+    guards_elided: int = _counter("static analysis", "bounds guard(s) elided")
+    images_verified: int = _counter("static analysis", "image(s) analysed")
+    # members extracted despite media damage
+    members_salvaged: int = _counter("durability", "member(s) salvaged")
+    # opens that rebuilt a lost directory / whose commit record checked out
+    directory_reconstructed: int = _counter("durability", "directory rebuild(s)")
+    commit_record_verified: int = _counter("durability",
+                                           "commit record(s) verified")
 
     def merge(self, other: "SessionStats") -> None:
         """Accumulate another session's counters (per-worker stats roll-up)."""
-        for field in fields(self):
-            setattr(self, field.name,
-                    getattr(self, field.name) + getattr(other, field.name))
+        for counter in fields(self):
+            name = counter.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+    def since(self, before: "SessionStats") -> "SessionStats":
+        """The counts added since ``before``, an earlier copy of these stats."""
+        return SessionStats(**{
+            counter.name: getattr(self, counter.name) - getattr(before, counter.name)
+            for counter in fields(self)})
 
     def as_dict(self) -> dict:
-        """Counters as a plain dict (``--stats`` and vxserve responses)."""
+        """Counters as a plain dict (vxserve responses and ``counters``)."""
         return asdict(self)
+
+
+def format_stats(stats: SessionStats) -> str:
+    """Render every session counter, one line per group.
+
+    ``vxunzip extract --stats`` and ``vxunzip check`` both print this, so a
+    counter declared on :class:`SessionStats` shows up in both.
+    """
+    groups: dict[str, list[str]] = {}
+    for counter in fields(stats):
+        groups.setdefault(counter.metadata["group"], []).append(
+            f"{getattr(stats, counter.name)} {counter.metadata['label']}")
+    return "\n".join(f"{group}: {', '.join(parts)}"
+                     for group, parts in groups.items())
 
 
 class DecoderSession:

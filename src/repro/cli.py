@@ -25,6 +25,7 @@ import pathlib
 import sys
 
 import repro.api as vxa
+from repro.api.session import format_stats
 from repro.core.integrity import format_report
 from repro.core.policy import VmReusePolicy
 from repro.errors import ArchiveDamagedError, VxaError
@@ -104,24 +105,8 @@ def _cmd_extract(args) -> int:
                   f"({len(report.quarantined)} quarantined)", file=sys.stderr)
         if getattr(args, "stats", False):
             # With --jobs > 1 these counters are the merged totals of every
-            # worker's DecoderSession, so the line reads the same either way.
-            stats = archive.session.stats
-            print(
-                f"code cache: {stats.fragments_translated} fragment(s) translated, "
-                f"{stats.chained_branches} chained branch(es), "
-                f"{stats.cache_hits} cache hit(s), "
-                f"{stats.retranslations} retranslation(s), "
-                f"{stats.evictions} eviction(s)"
-            )
-            print(
-                f"static analysis: {stats.images_verified} image(s) analysed, "
-                f"{stats.guards_elided} bounds guard(s) elided"
-            )
-            print(
-                f"durability: {stats.members_salvaged} member(s) salvaged, "
-                f"{stats.directory_reconstructed} directory rebuild(s), "
-                f"{stats.commit_record_verified} commit record(s) verified"
-            )
+            # worker's DecoderSession, so the lines read the same either way.
+            print(format_stats(archive.session.stats))
     return 1 if report.failures else 0
 
 
@@ -250,7 +235,7 @@ def _add_reading_commands(commands) -> None:
     extract.add_argument("--force-decode", action="store_true",
                          help="decode pre-compressed members to their uncompressed form")
     extract.add_argument("--stats", action="store_true",
-                         help="print translation code-cache counters after extraction")
+                         help="print the decoder session counters after extraction")
     extract.add_argument("--reuse", default=VmReusePolicy.ALWAYS_FRESH.value,
                          choices=[policy.value for policy in VmReusePolicy],
                          help="VM reuse policy across files sharing a decoder")

@@ -22,26 +22,11 @@ if TYPE_CHECKING:
 
 def format_report(report: IntegrityReport) -> str:
     """Render an integrity report the way the vxUnZIP tool would print it."""
-    lines = [f"members checked : {report.checked}",
-             f"members passed  : {report.passed}"]
-    if report.vm_initialisations or report.vm_reuses:
-        lines.append(
-            f"decoder VMs     : {report.vm_initialisations} initialisation(s), "
-            f"{report.vm_reuses} state reuse(s)"
-        )
-    if report.fragments_translated:
-        lines.append(
-            f"code cache      : {report.fragments_translated} fragment(s) translated, "
-            f"{report.cache_hits} cache hit(s), "
-            f"{report.chained_branches} chained branch(es), "
-            f"{report.retranslations} retranslation(s), "
-            f"{report.evictions} eviction(s)"
-        )
-    if report.images_verified or report.guards_elided:
-        lines.append(
-            f"static analysis : {report.images_verified} image(s) analysed, "
-            f"{report.guards_elided} bounds guard(s) elided"
-        )
+    from repro.api.session import format_stats
+
+    lines = [f"members checked: {report.checked}",
+             f"members passed: {report.passed}",
+             format_stats(report.stats)]
     if report.failures:
         lines.append("failures:")
         lines.extend(f"  - {failure}" for failure in report.failures)

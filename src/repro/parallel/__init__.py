@@ -36,29 +36,7 @@ verdicts are *identical* for every ``jobs``, because the inline shard and
 each worker run the same member loop and the §2.4 ``VmReusePolicy`` /
 ``SecurityAttributes.same_domain`` decisions are taken per session exactly
 as one session over all members takes them.
+
+The package root imports nothing: an inline (``jobs=1``) extract loads only
+the engine and what it needs, never the service's admission layer.
 """
-
-from repro.parallel.admission import (
-    AdmissionGate,
-    CircuitBreaker,
-    CircuitBreakerBoard,
-    ClientQuotas,
-    ServiceRejection,
-)
-from repro.parallel.engine import parallel_check, parallel_extract_into
-from repro.parallel.pool import WorkerPool, resolve_executor
-from repro.parallel.scheduler import Scheduler, Shard
-
-__all__ = [
-    "AdmissionGate",
-    "CircuitBreaker",
-    "CircuitBreakerBoard",
-    "ClientQuotas",
-    "Scheduler",
-    "ServiceRejection",
-    "Shard",
-    "WorkerPool",
-    "resolve_executor",
-    "parallel_extract_into",
-    "parallel_check",
-]

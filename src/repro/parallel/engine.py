@@ -42,6 +42,7 @@ import contextlib
 import os
 import pathlib
 import tempfile
+from dataclasses import replace
 
 from repro.api.archive import (
     ExtractionReport,
@@ -162,7 +163,9 @@ def parallel_check(archive, jobs, *, reuse=None, names=None, pool=None):
             if item.decoder_offset is not None]
     shards = Scheduler(jobs).plan(plan)
     if len(shards) <= 1:
-        return _check_members(archive, [item.name for item in plan], reuse)
+        report = _check_members(archive, [item.name for item in plan], reuse)
+        archive._count_open(report.stats)
+        return report
 
     order = {item.name: item.index for item in plan}
     report = IntegrityReport()
@@ -173,7 +176,7 @@ def parallel_check(archive, jobs, *, reuse=None, names=None, pool=None):
         report.passed += result.passed
         failures.extend((_failure_order(failure, order), failure)
                         for failure in result.failures)
-        report.add_counters(result)
+        report.stats.merge(result.stats)
 
     def exhausted(name, attempts):
         report.checked += 1
@@ -187,6 +190,8 @@ def parallel_check(archive, jobs, *, reuse=None, names=None, pool=None):
                 {"options": archive.options, "reuse": reuse},
                 absorb, exhausted, contain_crashes=True)
     report.failures.extend(failure for _, failure in sorted(failures))
+    # Workers reopen the archive; only the caller's open is counted.
+    archive._count_open(report.stats)
     return report
 
 
@@ -276,9 +281,9 @@ def _check_members(archive, names, reuse) -> IntegrityReport:
     Runs with a dedicated session honouring ``reuse`` (default: the
     archive's policy), so the check never disturbs extraction's VMs.
     """
-    report = IntegrityReport()
     policy = reuse if reuse is not None else archive.options.reuse
     with archive._new_session(policy) as session:
+        report = IntegrityReport(stats=session.stats)
         for name in names:
             report.checked += 1
             try:
@@ -294,20 +299,17 @@ def _check_members(archive, names, reuse) -> IntegrityReport:
                 report.passed += 1
             else:
                 report.failures.append(failure)
-        report.add_counters(session.stats)
     return report
 
 
 def _run_extract_shard(payload: dict) -> tuple[ExtractionReport, SessionStats]:
     """Worker side: extract one shard; returns its report and stats delta."""
     with shard_archive(payload) as archive:
-        before = archive.session.stats.as_dict()
+        before = replace(archive.session.stats)
         report = _extract_members(
             archive, pathlib.Path(payload["directory"]), payload["names"],
             payload["mode"], payload["force_decode"], payload["worker"])
-        after = archive.session.stats.as_dict()
-    return report, SessionStats(**{key: after[key] - before[key]
-                                   for key in after})
+        return report, archive.session.stats.since(before)
 
 
 def _run_check_shard(payload: dict) -> IntegrityReport:

@@ -460,14 +460,14 @@ class BatchService:
                 archive, jobs,
                 reuse=VmReusePolicy(reuse) if reuse is not None else None,
                 names=request.get("members"), pool=self.pool)
-        self._absorb(SessionStats(decodes=report.checked, **report.counters()))
+        self._absorb(report.stats)
         return {
             "archive": request["archive"],
             "ok": report.ok,
             "checked": report.checked,
             "passed": report.passed,
             "failures": list(report.failures),
-            **report.counters(),
+            **report.stats.as_dict(),
             "elapsed_seconds": time.perf_counter() - start,
         }
 

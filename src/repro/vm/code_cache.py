@@ -21,25 +21,20 @@ A cache is only valid for VMs running the *same decoder image* with the same
 memory-check policy and translator configuration; :class:`DecoderSession`
 guarantees this by keying shared caches by decoder pseudo-file offset.
 
-Counters accumulate across runs (they feed ``vxunzip --stats``, the
-profiler report and :class:`~repro.api.archive.IntegrityReport`):
-
-* ``hits`` / ``misses`` -- fragment executions served from the cache versus
-  fragment translations,
-* ``chained_branches`` -- block transitions that followed a back-patched
-  direct edge, bypassing the hash lookup entirely,
-* ``retranslations`` -- translations of an entry point that had already been
-  translated before (the waste an ``ALWAYS_FRESH`` reuse policy pays when
-  the cache is private and invalidated between members),
-* ``evictions`` -- fragments dropped by the optional LRU entry cap.
+``evictions`` counts fragments dropped by the optional LRU entry cap over
+the cache's life; each run's :class:`~repro.vm.limits.ExecutionStats`
+takes its share from it.  Every other code-cache counter (hits, chained
+branches, retranslations) is a per-run local of the engine, reported in
+that run's ``ExecutionStats`` and summed by the session's
+:class:`~repro.api.session.SessionStats`.
 
 Thread safety: all *mutation* paths (fragment/instruction insertion, LRU
-bookkeeping, counter merges, invalidation) take the cache's lock, so the
-in-process thread pool of :mod:`repro.parallel` cannot corrupt a cache or
-lose counter updates even if two workers ever share one.  Plain lookups stay
-lock-free -- a dict read is atomic under CPython and the engines tolerate a
-racy miss (the worst case is a duplicate translation, observable as a
-retranslation, never corruption).
+bookkeeping and its eviction count, invalidation) take the cache's lock,
+so the in-process thread pool of :mod:`repro.parallel` cannot corrupt a
+cache or lose an eviction even if two workers ever share one.  Plain
+lookups stay lock-free -- a dict read is atomic under CPython and the
+engines tolerate a racy miss (the worst case is a duplicate translation,
+observable as a retranslation, never corruption).
 """
 
 from __future__ import annotations
@@ -64,8 +59,7 @@ class CodeCache:
     """
 
     __slots__ = ("fragments", "instructions", "known", "shared", "limit",
-                 "lock", "analysis", "hits", "misses", "chained_branches",
-                 "retranslations", "evictions")
+                 "lock", "analysis", "evictions")
 
     def __init__(self, *, shared: bool = False, limit: int | None = None):
         if limit is not None and limit < 1:
@@ -77,7 +71,6 @@ class CodeCache:
         self.known: set = set()
         self.shared = shared
         self.limit = limit
-        #: Reentrant so counter merges may nest inside structural updates.
         self.lock = threading.RLock()
         #: The decoder image's static-analysis report
         #: (:class:`repro.analysis.verify.AnalysisReport`), attached once by
@@ -85,10 +78,6 @@ class CodeCache:
         #: sharing this cache -- analysis, like translation, is a pure
         #: function of the decoder's code.
         self.analysis = None
-        self.hits = 0
-        self.misses = 0
-        self.chained_branches = 0
-        self.retranslations = 0
         self.evictions = 0
 
     def __len__(self) -> int:
@@ -159,31 +148,8 @@ class CodeCache:
         with self.lock:
             self.instructions[address] = instruction
 
-    # -- counters --------------------------------------------------------------
-
-    def record_run(self, *, hits: int = 0, misses: int = 0,
-                   chained_branches: int = 0, retranslations: int = 0) -> None:
-        """Merge one engine run's counters under the lock."""
-        with self.lock:
-            self.hits += hits
-            self.misses += misses
-            self.chained_branches += chained_branches
-            self.retranslations += retranslations
-
     def invalidate(self) -> None:
-        """Drop all cached translations (counters and history persist)."""
+        """Drop all cached translations (evictions and history persist)."""
         with self.lock:
             self.fragments.clear()
             self.instructions.clear()
-
-    def snapshot(self) -> dict:
-        """Counters as a plain dict (for reports and ``--stats`` output)."""
-        with self.lock:
-            return {
-                "fragments": len(self.fragments),
-                "hits": self.hits,
-                "misses": self.misses,
-                "chained_branches": self.chained_branches,
-                "retranslations": self.retranslations,
-                "evictions": self.evictions,
-            }

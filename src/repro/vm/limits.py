@@ -92,20 +92,3 @@ class ExecutionStats:
 
     def record_syscall(self, name: str) -> None:
         self.syscalls[name] = self.syscalls.get(name, 0) + 1
-
-    def merge(self, other: "ExecutionStats") -> None:
-        """Accumulate ``other`` into this stats object (for multi-file runs)."""
-        self.instructions += other.instructions
-        self.blocks_executed += other.blocks_executed
-        self.fragments_translated += other.fragments_translated
-        self.fragment_cache_hits += other.fragment_cache_hits
-        self.fragment_cache_misses += other.fragment_cache_misses
-        self.chained_branches += other.chained_branches
-        self.retranslations += other.retranslations
-        self.evictions += other.evictions
-        self.guards_elided += other.guards_elided
-        self.bytes_read += other.bytes_read
-        self.bytes_written += other.bytes_written
-        self.streams_decoded += other.streams_decoded
-        for name, count in other.syscalls.items():
-            self.syscalls[name] = self.syscalls.get(name, 0) + count

@@ -945,5 +945,3 @@ def run_translator(vm) -> None:
         stats.retranslations += retranslated
         stats.guards_elided += translator.guards_elided
         stats.evictions += cache.evictions - evictions_before
-        cache.record_run(hits=hits, misses=misses, chained_branches=chained,
-                         retranslations=retranslated)

@@ -200,10 +200,10 @@ def test_session_counters_honor_same_domain(tmp_path):
         shared = archive.check(reuse=VmReusePolicy.ALWAYS_REUSE)
     for report in (fresh, grouped, shared):
         assert report.ok and report.checked == 6
-    assert (fresh.vm_initialisations, fresh.vm_reuses) == (6, 0)
+    assert (fresh.stats.vm_initialisations, fresh.stats.vm_reuses) == (6, 0)
     # One init for the first domain, one re-init at the 0o600 -> 0o644 flip.
-    assert (grouped.vm_initialisations, grouped.vm_reuses) == (2, 4)
-    assert (shared.vm_initialisations, shared.vm_reuses) == (1, 5)
+    assert (grouped.stats.vm_initialisations, grouped.stats.vm_reuses) == (2, 4)
+    assert (shared.stats.vm_initialisations, shared.stats.vm_reuses) == (1, 5)
 
 
 def test_session_shares_translations_when_reuse_permitted(tmp_path):
@@ -249,9 +249,9 @@ def test_integrity_report_carries_code_cache_counters(tmp_path):
     with vxa.open(path) as archive:
         report = archive.check(reuse=VmReusePolicy.ALWAYS_REUSE)
     assert report.ok
-    assert report.fragments_translated > 0
-    assert report.chained_branches > 0
-    assert report.retranslations == 0
+    assert report.stats.fragments_translated > 0
+    assert report.stats.chained_branches > 0
+    assert report.stats.retranslations == 0
     from repro.core.integrity import format_report
     text = format_report(report)
     assert "code cache" in text and "chained branch(es)" in text
@@ -287,7 +287,7 @@ def test_same_domain_compares_owner_and_group(tmp_path):
     assert report.ok
     # Same mode but different owners: the domain flip forces a re-init,
     # nothing is reused across the two files.
-    assert (report.vm_initialisations, report.vm_reuses) == (2, 0)
+    assert (report.stats.vm_initialisations, report.stats.vm_reuses) == (2, 0)
 
 
 def _flip_member_data_byte(archive_bytes: bytes, archive) -> bytes:

@@ -292,8 +292,8 @@ def test_integrity_check_with_reuse_policy(archive_and_manifest):
         report = reader.check(reuse=VmReusePolicy.ALWAYS_REUSE)
     assert report.ok
     # One VM per stored decoder; every later member of its codec reuses it.
-    assert report.vm_initialisations == len(manifest.decoders)
-    assert report.vm_reuses == report.checked - len(manifest.decoders)
+    assert report.stats.vm_initialisations == len(manifest.decoders)
+    assert report.stats.vm_reuses == report.checked - len(manifest.decoders)
 
 
 def test_manifest_reports_decoder_overhead(archive_and_manifest):

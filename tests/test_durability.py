@@ -334,6 +334,38 @@ def test_salvage_reconstructs_lost_directory(tmp_path, members, clean_archive):
     assert stats.members_salvaged >= 1
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_check_counts_the_callers_open_once(clean_archive, jobs):
+    """The open's commit-record check reaches the report exactly once:
+    workers that reopen the archive for their shards add nothing."""
+    with vxa.open(clean_archive, _read_options(jobs)) as archive:
+        report = archive.check()
+    assert report.ok
+    assert report.stats.commit_record_verified == 1
+    assert report.stats.directory_reconstructed == 0
+
+
+def test_vxserve_check_absorbs_the_open_counters(clean_archive):
+    from repro.parallel.service import BatchService
+
+    service = BatchService(jobs=2, executor=EXECUTOR_THREAD)
+
+    def verified_total() -> int:
+        counters = service.handle({"op": "stats"})["result"]["counters"]
+        return counters["session_commit_record_verified_total"]
+
+    try:
+        for jobs in (1, 2):
+            before = verified_total()
+            response = service.handle({"op": "check", "jobs": jobs,
+                                       "archive": str(clean_archive)})
+            assert response["ok"], response
+            assert response["result"]["commit_record_verified"] == 1
+            assert verified_total() == before + 1
+    finally:
+        service.close()
+
+
 # -- durable extraction outputs ----------------------------------------------------
 
 

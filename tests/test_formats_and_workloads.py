@@ -17,8 +17,6 @@ from repro.formats.bmp import is_bmp, read_bmp, write_bmp
 from repro.formats.ppm import is_ppm, read_ppm, write_ppm
 from repro.formats.sniff import KIND_COMPRESSED, KIND_RAW_AUDIO, KIND_RAW_IMAGE, KIND_RAW_TEXT, sniff
 from repro.formats.wav import WavAudio, is_wav, read_wav, write_wav
-from repro.vm.limits import ExecutionStats
-from repro.vm.profiler import cache_hit_rate, format_report, instructions_per_output_byte, summarize
 from repro.workloads.audio import synthetic_music, synthetic_speech
 from repro.workloads.images import synthetic_diagram, synthetic_photo
 from repro.workloads.text import synthetic_log_bytes, synthetic_source_file, synthetic_source_tree_bytes
@@ -178,30 +176,6 @@ def test_reporting_helpers():
     assert format_percent(0.125) == "12.5%"
     assert format_ratio(1.5) == "1.50x"
     assert "hello" in banner("hello")
-
-
-def test_profiler_summaries():
-    stats = ExecutionStats(
-        instructions=1000,
-        blocks_executed=100,
-        fragments_translated=10,
-        fragment_cache_hits=90,
-        fragment_cache_misses=10,
-        bytes_read=50,
-        bytes_written=200,
-    )
-    stats.record_syscall("read")
-    stats.record_syscall("read")
-    assert cache_hit_rate(stats) == 0.9
-    assert instructions_per_output_byte(stats) == 5.0
-    summary = summarize(stats)
-    assert summary["syscalls"] == {"read": 2}
-    assert "instructions" in format_report(stats)
-    other = ExecutionStats(instructions=10)
-    other.record_syscall("write")
-    stats.merge(other)
-    assert stats.instructions == 1010
-    assert stats.syscalls["write"] == 1
 
 
 @settings(max_examples=20)

@@ -1,8 +1,9 @@
 """The AST lock-linter: the repo is clean, and violations are detected.
 
-``tools/lint_locks.py`` guards two concurrency invariants (CodeCache state
+``tools/lint_locks.py`` guards three concurrency invariants (CodeCache state
 mutations under ``self.lock``; ``_CODE_MEMO`` accesses under
-``_CODE_MEMO_LOCK``).  These tests pin both directions: the shipped sources
+``_CODE_MEMO_LOCK``; ``BatchService.stats`` mutations under
+``self._lock``).  These tests pin both directions: the shipped sources
 pass, and deliberately broken synthetic sources fail with pointed messages.
 """
 
@@ -31,10 +32,10 @@ def test_detects_unlocked_counter_increment(tmp_path):
     violations = _cache_violations(tmp_path, """
 class CodeCache:
     def record(self):
-        self.hits += 1
+        self.evictions += 1
 """)
     assert len(violations) == 1
-    assert "self.hits" in violations[0][2]
+    assert "self.evictions" in violations[0][2]
 
 
 def test_detects_unlocked_mutation_through_alias(tmp_path):
@@ -76,12 +77,40 @@ def test_init_is_exempt_and_reads_are_free(tmp_path):
 class CodeCache:
     def __init__(self):
         self.fragments = {}
-        self.hits = 0
+        self.evictions = 0
 
     def lookup(self, entry):
         return self.fragments.get(entry)
 """)
     assert violations == []
+
+
+def test_service_stats_mutations_need_the_lock(tmp_path):
+    path = tmp_path / "service.py"
+    path.write_text("""
+class BatchService:
+    def __init__(self):
+        self.stats = SessionStats()
+
+    def _absorb(self, stats):
+        self.stats.merge(stats)
+
+    def _count(self):
+        self.stats.decodes += 1
+
+    def _locked(self, stats):
+        with self._lock:
+            self.stats.merge(stats)
+            self.stats.decodes += 1
+
+    def _read(self):
+        return self.stats.as_dict()
+""")
+    violations = lint_locks.check_service_stats(path)
+    assert [message for _, _, message in violations] == [
+        "BatchService._absorb calls self.stats.merge() outside `with self._lock`",
+        "BatchService._count mutates self.stats outside `with self._lock`",
+    ]
 
 
 @pytest.mark.parametrize("snippet,expect_clean", [

